@@ -7,13 +7,7 @@
 //   --port=N            port to bind on 127.0.0.1 (default 7878; 0 =
 //                       ephemeral, printed on startup)
 //   --threads=N         evaluation worker pool size (default 4);
-//                       parallelism *across* documents
-//   --engine-threads=N  lanes per evaluation *inside* one document:
-//                       sharded compression and partitioned axis sweeps
-//                       (default 1 — the sequential engine; answers are
-//                       identical for every value; see
-//                       docs/PARALLELISM.md). Peak lanes are
-//                       threads x engine-threads.
+//                       each evaluation runs on one worker
 //   --capacity-mb=N     document store budget; past it the least-
 //                       recently-used document is evicted (default
 //                       unlimited)
@@ -102,7 +96,7 @@ void HandleSignal(int) { g_stop = 1; }
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port=N] [--threads=N] [--engine-threads=N] "
+               "usage: %s [--port=N] [--threads=N] "
                "[--capacity-mb=N] [--preload=NAME=PATH]... "
                "[--minimize[=off|full|incremental]] "
                "[--prune=on|off|verify] [--trace=off|slow:<ms>|all] "
@@ -125,12 +119,6 @@ int main(int argc, char** argv) {
     if (arg.rfind("--port=", 0) == 0) {
       options.port = static_cast<uint16_t>(
           std::strtoul(arg.substr(7).data(), nullptr, 10));
-    } else if (arg.rfind("--engine-threads=", 0) == 0) {
-      options.session.engine_threads =
-          std::strtoull(arg.substr(17).data(), nullptr, 10);
-      if (options.session.engine_threads < 1) {
-        options.session.engine_threads = 1;
-      }
     } else if (arg.rfind("--threads=", 0) == 0) {
       options.worker_threads =
           std::strtoull(arg.substr(10).data(), nullptr, 10);
@@ -260,11 +248,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start failed: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("xcq_serverd listening on 127.0.0.1:%u (%zu workers, "
-              "%zu engine thread(s)%s)\n",
+  std::printf("xcq_serverd listening on 127.0.0.1:%u (%zu workers%s)\n",
               static_cast<unsigned>(server.port()),
               server.service().worker_count(),
-              options.session.engine_threads,
               options.capacity_bytes == 0
                   ? ""
                   : xcq::StrFormat(", capacity %s",

@@ -66,8 +66,7 @@ struct SharedBatchResult {
 /// any input the shared path cannot handle (empty plans, missing
 /// context relation, a split demand) simply reports `engaged = false`
 /// so the caller can fall back to per-query evaluation — which will
-/// also surface any real error. `options.threads` shards the shared
-/// sweeps exactly like the per-query kernels.
+/// also surface any real error.
 SharedBatchResult EvaluateBatchShared(
     Instance* instance, const std::vector<algebra::QueryPlan>& plans,
     const EvalOptions& options, SharedBatchStats* stats = nullptr);

@@ -1,4 +1,3 @@
-#include <atomic>
 #include <cassert>
 #include <span>
 #include <utility>
@@ -6,7 +5,6 @@
 
 #include "xcq/engine/axes.h"
 #include "xcq/engine/sweep.h"
-#include "xcq/parallel/task_pool.h"
 
 namespace xcq::engine {
 
@@ -27,9 +25,9 @@ namespace {
 ///    DFS over a DAG any repeated child of an ancestor frame is reached
 ///    again only after its subtree completed — hence clones always copy
 ///    final, rewritten child lists.
-Status ApplyDownwardAxisSequential(Instance* instance, Axis axis,
-                                   RelationId src, RelationId dst,
-                                   AxisStats* stats, EvalGuard* guard) {
+Status ApplyDownwardAxisDfs(Instance* instance, Axis axis,
+                            RelationId src, RelationId dst,
+                            AxisStats* stats, EvalGuard* guard) {
   const bool inherit = axis != Axis::kChild;          // descendant / d-o-s
   const bool or_self = axis == Axis::kDescendantOrSelf;
 
@@ -115,15 +113,15 @@ Status ApplyDownwardAxisSequential(Instance* instance, Axis axis,
   return Status::OK();
 }
 
-/// Height-band reformulation of Fig. 4 (docs/PARALLELISM.md §2.2).
+/// Height-band reformulation of Fig. 4 (docs/INTERNALS.md §9.5).
 ///
 /// Bands are processed root-first. When band h starts, every vertex of
 /// height > h carries its final `dst` bit and has *pushed* what each of
 /// its edges demands of its child — src(p) ∨ inherit·dst(p) — into the
-/// child's demand flags (a commutative atomic OR, hence order-free).
-/// A band vertex folds its flags with or-self·src(w): one demanded bit
-/// → take it and push onward; both → split, the original keeping 0 and
-/// the clone (which pushes with bit 1) taking 1.
+/// child's demand flags (a commutative OR, hence order-free). A band
+/// vertex folds its flags with or-self·src(w): one demanded bit → take
+/// it and push onward; both → split, the original keeping 0 and the
+/// clone (which pushes with bit 1) taking 1.
 ///
 /// Edges are re-pointed to the right variant in ONE deferred pass at
 /// the end — every edge's demand is recomputable from its (by then
@@ -135,13 +133,8 @@ Status ApplyDownwardAxisSequential(Instance* instance, Axis axis,
 /// The per-occurrence selections this computes are precisely Fig. 4's
 /// (each edge stands for a set of tree-node occurrences that share a
 /// parent variant, hence share a demanded bit), so answers match the
-/// sequential kernel; only which variant keeps the original id may
-/// differ (isomorphic DAGs, identical once re-minimized).
-///
-/// Thread discipline: parallel phases write only atomic demand flags,
-/// per-vertex decision bytes, and per-shard buffers; all Instance
-/// mutation (clones, edge re-points, relation bits) happens on the
-/// calling thread between barriers.
+/// DFS kernel; only which variant keeps the original id may differ
+/// (isomorphic DAGs, identical once re-minimized).
 ///
 /// With a `region` (engine/prune.h) only region vertices are decided.
 /// The region contains V(src ∪ dst) closed with every reachable parent
@@ -151,7 +144,7 @@ Status ApplyDownwardAxisSequential(Instance* instance, Axis axis,
 /// (no demands, no src bit) reproduce exactly.
 Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
                                RelationId src, RelationId dst,
-                               AxisStats* stats, size_t threads,
+                               AxisStats* stats,
                                const DynamicBitset* region,
                                EvalGuard* guard) {
   const bool inherit = axis != Axis::kChild;
@@ -168,7 +161,7 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
   // Demand flags per original vertex: bit 0 = some occurrence needs
   // dst=0, bit 1 = needs dst=1. Clones are born resolved and edges are
   // re-pointed only at the very end, so no clone ever receives flags.
-  std::vector<std::atomic<uint8_t>> demand(n0);
+  std::vector<uint8_t> demand(n0, 0);
   // dst bit per vertex, grown as clones are allocated; counterpart[w]
   // is w's bit-1 clone when w split.
   std::vector<uint8_t> dst_bit(n0, 0);
@@ -176,17 +169,10 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
   uint64_t split_count = 0;
   uint64_t charged_splits = 0;
 
-  parallel::TaskPool& pool = parallel::SharedPool(threads);
-  std::vector<std::pair<size_t, size_t>> ranges;
-  std::vector<std::vector<VertexId>> split_candidates;
-
-  // Finalize the bit of one band vertex from its flags and push its
-  // out-edge demands. Split candidates are deferred to the caller.
+  // Push a decided vertex's out-edge demands onto its children.
   const auto push_from = [&](VertexId v, bool bit) {
     const uint8_t out = src_bits.Test(v) || (inherit && bit) ? 2 : 1;
-    for (const Edge& e : instance->Children(v)) {
-      demand[e.child].fetch_or(out, std::memory_order_relaxed);
-    }
+    for (const Edge& e : instance->Children(v)) demand[e.child] |= out;
   };
 
   const VertexId root = instance->root();
@@ -205,51 +191,31 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
       charged_splits = before;
     }
 
-    // Decide-and-push phase. Decisions depend only on flags accumulated
-    // by (finalized) higher bands, so they are independent of sharding;
-    // candidate lists concatenated in shard order reproduce band order
-    // for every thread count.
-    const size_t shards = SweepShardCount(band.size(), threads);
-    ranges = parallel::SplitRange(band.size(), shards);
-    split_candidates.assign(ranges.size(), {});
-    const auto decide_range = [&](size_t s) {
-      for (size_t i = ranges[s].first; i < ranges[s].second; ++i) {
-        const VertexId w = band[i];
-        if (region != nullptr && !region->Test(w)) continue;
-        const bool os = or_self && src_bits.Test(w);
-        uint8_t d = demand[w].load(std::memory_order_relaxed);
-        if (d == 0) {
-          // Only the root receives no demands (every other reachable
-          // vertex is entered by a reachable parent's edge).
-          d = w == root ? 1 : d;
-        }
-        if (os) d = 2;  // or-self folds every occurrence to selected
-        if (d == 3) {
-          dst_bit[w] = 0;  // the original keeps 0; the clone takes 1
-          split_candidates[s].push_back(w);
-          push_from(w, false);
-        } else {
-          dst_bit[w] = d == 2 ? 1 : 0;
-          push_from(w, dst_bit[w] != 0);
-        }
+    // Decisions depend only on flags pushed by (finalized) higher
+    // bands; pushes land on strictly lower bands, so band order is free.
+    for (const VertexId w : band) {
+      if (region != nullptr && !region->Test(w)) continue;
+      const bool os = or_self && src_bits.Test(w);
+      uint8_t d = demand[w];
+      if (d == 0) {
+        // Only the root receives no demands (every other reachable
+        // vertex is entered by a reachable parent's edge).
+        d = w == root ? 1 : d;
       }
-    };
-    if (ranges.size() == 1) {
-      decide_range(0);
-    } else {
-      pool.Run(ranges.size(), decide_range);
-    }
-
-    // Split phase (sequential): allocate clones in band order; each
-    // clone pushes with bit 1 (its child list equals the original's).
-    for (const std::vector<VertexId>& candidates : split_candidates) {
-      for (const VertexId w : candidates) {
+      if (os) d = 2;  // or-self folds every occurrence to selected
+      if (d == 3) {
+        // The original keeps 0; the clone (same child list) takes 1.
+        dst_bit[w] = 0;
+        push_from(w, false);
         const VertexId clone = instance->CloneVertex(w);
         counterpart[w] = clone;
         dst_bit.push_back(1);  // dst_bit[clone]
         ++split_count;
         if (stats != nullptr) ++stats->splits;
         push_from(clone, true);
+      } else {
+        dst_bit[w] = d == 2 ? 1 : 0;
+        push_from(w, dst_bit[w] != 0);
       }
     }
   }
@@ -261,53 +227,27 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
   }
 
   // Deferred re-point pass, skipped when nothing split: every edge to a
-  // split vertex goes to the variant its own demand selects. Parallel
-  // shards only fill buffers; the commit (which touches the edge arena
-  // and dirty tracking) stays on the calling thread, in shard order.
+  // split vertex goes to the variant its own demand selects.
   if (split_count > 0) {
     const size_t total = plan.order.size();
-    const size_t clones = instance->vertex_count() - n0;
-    struct Repoint {
-      VertexId parent;
-      uint32_t run;
-      VertexId variant;
-    };
-    const size_t shards = SweepShardCount(total + clones, threads);
-    ranges = parallel::SplitRange(total + clones, shards);
-    std::vector<std::vector<Repoint>> repoints(ranges.size());
-    const auto scan_range = [&](size_t s) {
-      for (size_t i = ranges[s].first; i < ranges[s].second; ++i) {
-        const VertexId v = i < total
-                               ? plan.order[i]
-                               : static_cast<VertexId>(n0 + (i - total));
-        // Reachable parents of split vertices are always in the region
-        // (split vertices sit in its base), so skipped vertices have no
-        // edges to re-point.
-        if (region != nullptr && i < total && !region->Test(v)) continue;
-        const bool demands =
-            src_bits.Test(v) || (inherit && dst_bit[v] != 0);
-        const std::span<const Edge> children = instance->Children(v);
-        for (uint32_t j = 0; j < children.size(); ++j) {
-          const VertexId w = children[j].child;
-          if (counterpart[w] == kNoVertex) continue;
-          // A split child never has or-self·src(w) (that forces every
-          // occurrence selected, i.e. no split), so the edge's variant
-          // depends on the parent's demand alone.
-          assert(!(or_self && src_bits.Test(w)));
-          if (demands) {
-            repoints[s].push_back(Repoint{v, j, counterpart[w]});
-          }
-        }
-      }
-    };
-    if (ranges.size() == 1) {
-      scan_range(0);
-    } else {
-      pool.Run(ranges.size(), scan_range);
-    }
-    for (const std::vector<Repoint>& batch : repoints) {
-      for (const Repoint& r : batch) {
-        instance->MutableChildren(r.parent)[r.run].child = r.variant;
+    const size_t end = total + (instance->vertex_count() - n0);
+    for (size_t i = 0; i < end; ++i) {
+      const VertexId v = i < total ? plan.order[i]
+                                   : static_cast<VertexId>(n0 + (i - total));
+      // Reachable parents of split vertices are always in the region
+      // (split vertices sit in its base), so skipped vertices have no
+      // edges to re-point.
+      if (region != nullptr && i < total && !region->Test(v)) continue;
+      if (!src_bits.Test(v) && !(inherit && dst_bit[v] != 0)) continue;
+      const std::span<const Edge> children = instance->Children(v);
+      for (uint32_t j = 0; j < children.size(); ++j) {
+        const VertexId w = children[j].child;
+        if (counterpart[w] == kNoVertex) continue;
+        // A split child never has or-self·src(w) (that forces every
+        // occurrence selected, i.e. no split), so the edge's variant
+        // depends on the parent's demand alone.
+        assert(!(or_self && src_bits.Test(w)));
+        instance->MutableChildren(v)[j].child = counterpart[w];
       }
     }
   }
@@ -334,8 +274,7 @@ Status ApplyDownwardAxisBanded(Instance* instance, Axis axis,
 
 Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
                          RelationId dst, AxisStats* stats,
-                         size_t threads, const DynamicBitset* region,
-                         EvalGuard* guard) {
+                         const DynamicBitset* region, EvalGuard* guard) {
   if (axis != Axis::kChild && axis != Axis::kDescendant &&
       axis != Axis::kDescendantOrSelf) {
     return Status::InvalidArgument("ApplyDownwardAxis: not a downward axis");
@@ -343,14 +282,13 @@ Status ApplyDownwardAxis(Instance* instance, Axis axis, RelationId src,
   if (instance->root() == kNoVertex) {
     return Status::InvalidArgument("ApplyDownwardAxis: empty instance");
   }
-  // A region selects the banded form at any thread count: band/phase
-  // iteration admits region filtering without changing split order.
-  if (region != nullptr ||
-      (threads > 1 && instance->vertex_count() >= 2 * kSweepGrain)) {
-    return ApplyDownwardAxisBanded(instance, axis, src, dst, stats,
-                                   threads, region, guard);
+  // A region selects the banded form: band iteration admits region
+  // filtering without changing split order.
+  if (region != nullptr) {
+    return ApplyDownwardAxisBanded(instance, axis, src, dst, stats, region,
+                                   guard);
   }
-  return ApplyDownwardAxisSequential(instance, axis, src, dst, stats, guard);
+  return ApplyDownwardAxisDfs(instance, axis, src, dst, stats, guard);
 }
 
 }  // namespace xcq::engine

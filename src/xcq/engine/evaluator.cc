@@ -42,9 +42,11 @@ class PlanRunner {
     // summary (a full-DAG walk), so a dead request skips it entirely.
     XCQ_RETURN_IF_ERROR(guard_.Poll());
     if (options_.prune_sweeps) {
-      ScopedTimer bind(stats_ != nullptr ? &stats_->prune_bind_seconds
-                                         : nullptr);
-      pruner_.emplace(instance_, &plan, &options_);
+      // Binding is lazy (first gate, and again after a schema change);
+      // the pruner charges it to prune_bind_seconds itself.
+      pruner_.emplace(instance_, &plan, &options_,
+                      stats_ != nullptr ? &stats_->prune_bind_seconds
+                                        : nullptr);
     }
     const Status status = [&] {
       for (size_t i = 0; i < plan.ops.size(); ++i) {
@@ -248,18 +250,18 @@ class PlanRunner {
         case Axis::kAncestor:
         case Axis::kAncestorOrSelf:
           status = ApplyUpwardAxis(instance_, axis, s, d, &sweep_stats,
-                                   options_.threads, gate.region, &guard_);
+                                   gate.region, &guard_);
           break;
         case Axis::kChild:
         case Axis::kDescendant:
         case Axis::kDescendantOrSelf:
           status = ApplyDownwardAxis(instance_, axis, s, d, &sweep_stats,
-                                     options_.threads, gate.region, &guard_);
+                                     gate.region, &guard_);
           break;
         case Axis::kFollowingSibling:
         case Axis::kPrecedingSibling:
           status = ApplySiblingAxis(instance_, axis, s, d, &sweep_stats,
-                                    options_.threads, gate.region, &guard_);
+                                    gate.region, &guard_);
           break;
         default:
           status = Status::Internal("Sweep: unexpected axis");
@@ -289,8 +291,7 @@ class PlanRunner {
       case Axis::kSelf:
         // A plain column copy — nothing to prune.
         dst = NewTemporary();
-        XCQ_RETURN_IF_ERROR(ApplyUpwardAxis(instance_, axis, src, dst,
-                                            nullptr, options_.threads));
+        XCQ_RETURN_IF_ERROR(ApplyUpwardAxis(instance_, axis, src, dst));
         break;
       case Axis::kParent:
       case Axis::kAncestor:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string_view>
 
+#include "xcq/util/timer.h"
+
 namespace xcq::engine {
 namespace {
 
@@ -318,8 +320,11 @@ void PlanAbstract::Compute(const Instance& instance,
 // --- PlanPruner ------------------------------------------------------------
 
 PlanPruner::PlanPruner(Instance* instance, const algebra::QueryPlan* plan,
-                       const EvalOptions* options)
-    : instance_(instance), plan_(plan), options_(options) {}
+                       const EvalOptions* options, double* bind_seconds)
+    : instance_(instance),
+      plan_(plan),
+      options_(options),
+      bind_seconds_(bind_seconds) {}
 
 bool PlanPruner::Sync() {
   const uint64_t generation = instance_->structure_generation();
@@ -342,6 +347,7 @@ bool PlanPruner::Sync() {
     bound_generation_ = generation;
     return regions_.active();
   }
+  ScopedTimer bind_timer(bind_seconds_);
   regions_.Bind(*instance_);
   if (regions_.active()) {
     abstract_.Compute(*instance_, regions_.summary(), *plan_, *options_);

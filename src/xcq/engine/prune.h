@@ -131,10 +131,13 @@ class PlanAbstract {
 /// schema change or vertex renumbering forces a re-bind.
 class PlanPruner {
  public:
+  /// `bind_seconds` (nullable) accumulates the time spent (re)binding:
+  /// the summary bind plus the plan's abstract interpretation.
   PlanPruner(Instance* instance, const algebra::QueryPlan* plan,
-             const EvalOptions* options);
+             const EvalOptions* options, double* bind_seconds = nullptr);
 
-  /// Re-binds if the instance's summary went stale. Returns active().
+  /// Re-binds if the instance's summary went stale, charging the bind
+  /// to `bind_seconds`. Returns active().
   bool Sync();
 
   /// Pruning is available (summary built, not saturated).
@@ -159,6 +162,7 @@ class PlanPruner {
   Instance* instance_;
   const algebra::QueryPlan* plan_;
   const EvalOptions* options_;
+  double* bind_seconds_;
   SummaryRegions regions_;
   PlanAbstract abstract_;
   uint64_t bound_generation_ = 0;

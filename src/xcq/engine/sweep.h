@@ -2,13 +2,13 @@
 #define XCQ_ENGINE_SWEEP_H_
 
 /// \file sweep.h
-/// Shared partitioning state for the axis sweeps
-/// (docs/PARALLELISM.md §2, docs/INTERNALS.md §8).
+/// Shared traversal state for the axis sweeps (docs/INTERNALS.md §8,
+/// §9.5).
 ///
-/// The parallel kernels replace the sequential DFS of Fig. 4 with
+/// The region-gated kernels replace the DFS of Fig. 4 with
 /// *height-band* sweeps: `height(v)` (longest path to a leaf) strictly
 /// decreases along every edge, so all vertices of one height can be
-/// processed concurrently once every higher band is final — downward
+/// decided in any order once every higher band is final — downward
 /// axes walk bands root-first, upward axes leaf-first. A `SweepPlan`
 /// carries the reachable set and the bands.
 ///
@@ -18,7 +18,7 @@
 /// instance reads the same cached order/bands, and only a mutation
 /// (split, edge rewrite, root move) triggers a rebuild on the next
 /// read. Everything in the plan is derived deterministically from the
-/// instance, independent of thread count.
+/// instance.
 ///
 /// Lifetime: the returned reference stays valid until a structural
 /// mutation *followed by* another `EnsureTraversal` read. The kernels
@@ -44,19 +44,6 @@ using SweepPlan = TraversalCache;
 inline const SweepPlan& BuildSweepPlan(const Instance& instance,
                                        bool need_heights) {
   return instance.EnsureTraversal(need_heights);
-}
-
-/// Work below this many vertices per shard is not worth a barrier; the
-/// kernels run such stretches inline on the calling thread.
-inline constexpr size_t kSweepGrain = 1024;
-
-/// \brief Number of shards for `n` items over `threads` lanes: enough
-/// for balance (2 per lane), but never shards smaller than the grain.
-inline size_t SweepShardCount(size_t n, size_t threads) {
-  if (threads <= 1 || n < 2 * kSweepGrain) return 1;
-  const size_t by_grain = n / kSweepGrain;
-  const size_t by_lanes = 2 * threads;
-  return by_grain < by_lanes ? by_grain : by_lanes;
 }
 
 }  // namespace xcq::engine

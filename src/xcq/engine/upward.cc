@@ -2,7 +2,6 @@
 
 #include "xcq/engine/axes.h"
 #include "xcq/engine/sweep.h"
-#include "xcq/parallel/task_pool.h"
 
 namespace xcq::engine {
 
@@ -10,23 +9,22 @@ using xpath::Axis;
 
 namespace {
 
-/// Parallel kParent / kAncestor(-OrSelf) (docs/PARALLELISM.md §2.1).
+/// Banded kParent / kAncestor(-OrSelf) (docs/INTERNALS.md §9.5).
 ///
 /// Upward axes never split (Prop. 3.3) and only *read* the DAG, so the
-/// parallel form is a leaf-first band sweep: all vertices of height h
-/// are independent given finalized lower bands (kParent reads only
-/// `src`, so it is even a single flat sweep — every band at once).
-/// Each vertex's bit lands in its own byte of `up_bit`; the bits enter
-/// the relation column in one sequential pass at the end, which also
-/// keeps unreachable split leftovers silent, exactly like the
-/// sequential loop over PostOrder().
+/// banded form is a leaf-first band sweep: a vertex of height h reads
+/// only bits of finalized lower bands (kParent reads only `src`, so it
+/// is a single flat sweep over the order). Each vertex's bit lands in
+/// its own byte of `up_bit`; the bits enter the relation column in one
+/// pass at the end, which also keeps unreachable split leftovers
+/// silent, exactly like the DFS-order loop over PostOrder().
 /// With a `region` (engine/prune.h) only region vertices are decided.
 /// The region is V(dst): a vertex outside it can neither be selected
 /// nor (being unselected) influence an ancestor's decision, so skipped
 /// children are read as up_bit = 0, which is their unpruned value.
 Status ApplyUpwardAxisBanded(Instance* instance, Axis axis, RelationId src,
                              RelationId dst, AxisStats* stats,
-                             size_t threads, const DynamicBitset* region,
+                             const DynamicBitset* region,
                              EvalGuard* guard) {
   const bool ancestor =
       axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
@@ -34,12 +32,9 @@ Status ApplyUpwardAxisBanded(Instance* instance, Axis axis, RelationId src,
       BuildSweepPlan(*instance, /*need_heights=*/ancestor);
   const DynamicBitset& src_bits = instance->RelationBits(src);
   std::vector<uint8_t> up_bit(instance->vertex_count(), 0);
-  parallel::TaskPool& pool = parallel::SharedPool(threads);
 
-  const auto sweep_slice = [&](const std::vector<VertexId>& vertices,
-                               size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const VertexId v = vertices[i];
+  const auto sweep = [&](const std::vector<VertexId>& vertices) {
+    for (const VertexId v : vertices) {
       if (region != nullptr && !region->Test(v)) continue;
       for (const Edge& e : instance->Children(v)) {
         if (src_bits.Test(e.child) ||
@@ -58,29 +53,16 @@ Status ApplyUpwardAxisBanded(Instance* instance, Axis axis, RelationId src,
     if (guard != nullptr) {
       XCQ_RETURN_IF_ERROR(guard->Charge(plan.order.size(), 0));
     }
-    const size_t shards = SweepShardCount(plan.order.size(), threads);
-    const auto ranges = parallel::SplitRange(plan.order.size(), shards);
-    pool.Run(ranges.size(), [&](size_t s) {
-      sweep_slice(plan.order, ranges[s].first, ranges[s].second);
-    });
+    sweep(plan.order);
   } else {
-    // kAncestor: leaf-first bands; a band only reads bits of strictly
-    // lower bands, finalized before the previous barrier. Read-only,
-    // so the between-band checkpoint may abort anywhere.
+    // kAncestor: leaf-first bands. Read-only, so the between-band
+    // checkpoint may abort anywhere.
     for (const std::vector<VertexId>& band : plan.bands) {
       if (band.empty()) continue;
       if (guard != nullptr) {
         XCQ_RETURN_IF_ERROR(guard->Charge(band.size(), 0));
       }
-      const size_t shards = SweepShardCount(band.size(), threads);
-      if (shards == 1) {
-        sweep_slice(band, 0, band.size());
-        continue;
-      }
-      const auto ranges = parallel::SplitRange(band.size(), shards);
-      pool.Run(ranges.size(), [&](size_t s) {
-        sweep_slice(band, ranges[s].first, ranges[s].second);
-      });
+      sweep(band);
     }
   }
 
@@ -105,7 +87,7 @@ Status ApplyUpwardAxisBanded(Instance* instance, Axis axis, RelationId src,
 /// vertex is the same for all of its occurrences), so one bottom-up pass
 /// suffices.
 Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
-                       RelationId dst, AxisStats* stats, size_t threads,
+                       RelationId dst, AxisStats* stats,
                        const DynamicBitset* region, EvalGuard* guard) {
   if (!xpath::IsUpwardAxis(axis)) {
     return Status::InvalidArgument("ApplyUpwardAxis: not an upward axis");
@@ -114,16 +96,14 @@ Status ApplyUpwardAxis(Instance* instance, Axis axis, RelationId src,
     return Status::InvalidArgument("ApplyUpwardAxis: empty instance");
   }
 
-  // A region selects the banded form at any thread count (kSelf is a
-  // plain column copy and is never gated).
-  if (axis != Axis::kSelf &&
-      (region != nullptr ||
-       (threads > 1 && instance->vertex_count() >= 2 * kSweepGrain))) {
-    return ApplyUpwardAxisBanded(instance, axis, src, dst, stats, threads,
-                                 region, guard);
+  // A region selects the banded form (kSelf is a plain column copy and
+  // is never gated).
+  if (axis != Axis::kSelf && region != nullptr) {
+    return ApplyUpwardAxisBanded(instance, axis, src, dst, stats, region,
+                                 guard);
   }
 
-  // Sequential upward sweeps only read the DAG and set bits of the
+  // Unpruned upward sweeps only read the DAG and set bits of the
   // zeroed dst column, so any stride boundary is a safe abort point.
   constexpr uint64_t kGuardStride = 4096;
   uint64_t since_charge = 0;

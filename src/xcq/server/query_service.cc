@@ -69,8 +69,9 @@ std::future<QueryResponse> QueryService::Submit(QueryJob job) {
       rejected();
       return future;
     }
-    EnqueueLocked(
-        Task{std::move(document), [task = std::move(task)] { (*task)(); }});
+    EnqueueLocked(Task{std::move(document),
+                       [task = std::move(task)] { (*task)(); }, nullptr,
+                       nullptr});
   }
   cv_.notify_one();
   return future;

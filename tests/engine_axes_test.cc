@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -332,6 +335,110 @@ TEST(FollowingAxisTest, MatchesCompositionDefinition) {
   // after first title: everything except bib, book, title1 -> 9 nodes
   // (others are subsets). 9 it is.
   EXPECT_EQ(f.DstTreeCount(), 9u);
+}
+
+// --- banded/phased forms vs. the DFS kernels ------------------------------
+
+struct SweepOutcome {
+  uint64_t selected_dag = 0;
+  uint64_t selected_tree = 0;
+  uint64_t splits = 0;
+  uint64_t reachable_vertices = 0;
+  uint64_t reachable_edges = 0;
+  uint64_t min_vertices = 0;
+  uint64_t min_edges = 0;
+};
+
+/// Runs one axis kernel on a copy of `base`. With `full_region` the
+/// kernel gets a region holding every reachable vertex — trivially
+/// closed, so it selects the banded/phased form without filtering
+/// anything; without it the kernel runs its DFS form.
+SweepOutcome RunAxisSweep(const Instance& base, xpath::Axis axis,
+                          RelationId src, bool full_region) {
+  Instance instance = base;
+  const RelationId dst = instance.AddRelation("test:dst");
+  DynamicBitset region(instance.vertex_count());
+  for (const VertexId v : instance.EnsureTraversal().order) region.Set(v);
+  const DynamicBitset* gate = full_region ? &region : nullptr;
+  AxisStats stats;
+  Status status;
+  if (xpath::IsUpwardAxis(axis)) {
+    status = ApplyUpwardAxis(&instance, axis, src, dst, &stats, gate);
+  } else if (axis == xpath::Axis::kFollowingSibling ||
+             axis == xpath::Axis::kPrecedingSibling) {
+    status = ApplySiblingAxis(&instance, axis, src, dst, &stats, gate);
+  } else {
+    status = ApplyDownwardAxis(&instance, axis, src, dst, &stats, gate);
+  }
+  SweepOutcome outcome;
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (!status.ok()) return outcome;
+  EXPECT_TRUE(instance.Validate().ok()) << instance.Validate().ToString();
+  outcome.selected_dag = SelectedDagNodeCount(instance, dst);
+  outcome.selected_tree = SelectedTreeNodeCount(instance, dst);
+  outcome.splits = stats.splits;
+  outcome.reachable_vertices = instance.ReachableCount();
+  outcome.reachable_edges = instance.ReachableEdgeCount();
+  const Result<Instance> minimal = Minimize(instance);
+  EXPECT_TRUE(minimal.ok());
+  if (minimal.ok()) {
+    outcome.min_vertices = minimal.Value().vertex_count();
+    outcome.min_edges = minimal.Value().rle_edge_count();
+  }
+  return outcome;
+}
+
+void ExpectSweepEqual(const SweepOutcome& oracle, const SweepOutcome& got,
+                      const std::string& what) {
+  EXPECT_EQ(oracle.selected_dag, got.selected_dag) << what;
+  EXPECT_EQ(oracle.selected_tree, got.selected_tree) << what;
+  EXPECT_EQ(oracle.splits, got.splits) << what;
+  EXPECT_EQ(oracle.reachable_vertices, got.reachable_vertices) << what;
+  EXPECT_EQ(oracle.reachable_edges, got.reachable_edges) << what;
+  EXPECT_EQ(oracle.min_vertices, got.min_vertices) << what;
+  EXPECT_EQ(oracle.min_edges, got.min_edges) << what;
+}
+
+TEST(BandedAxesTest, EveryAxisMatchesDfsOracle) {
+  // TreeBank compresses worst (deep, irregular), so its DAG has many
+  // bands and plenty of shared vertices to split.
+  XCQ_ASSERT_OK_AND_ASSIGN(const corpus::CorpusGenerator* generator,
+                           corpus::FindCorpus("TreeBank"));
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 25000;
+  gen.seed = 3;
+  const std::string xml = generator->Generate(gen);
+  XCQ_ASSERT_OK_AND_ASSIGN(const Instance base, CompressXml(xml, {}));
+
+  // Sweep from relations of very different densities.
+  std::vector<RelationId> sources;
+  size_t best_count = 0;
+  RelationId densest = kNoRelation;
+  for (const RelationId r : base.LiveRelations()) {
+    const size_t count = base.RelationBits(r).Count();
+    if (count > best_count) {
+      densest = r;
+      best_count = count;
+    }
+    if (count > 0 && sources.size() < 2) sources.push_back(r);
+  }
+  ASSERT_NE(densest, kNoRelation);
+  sources.push_back(densest);
+
+  const xpath::Axis kAxes[] = {
+      xpath::Axis::kChild,          xpath::Axis::kDescendant,
+      xpath::Axis::kDescendantOrSelf, xpath::Axis::kParent,
+      xpath::Axis::kAncestor,       xpath::Axis::kAncestorOrSelf,
+      xpath::Axis::kFollowingSibling, xpath::Axis::kPrecedingSibling};
+  for (const RelationId src : sources) {
+    for (const xpath::Axis axis : kAxes) {
+      ExpectSweepEqual(RunAxisSweep(base, axis, src, /*full_region=*/false),
+                       RunAxisSweep(base, axis, src, /*full_region=*/true),
+                       std::string("axis ") +
+                           std::string(xpath::AxisName(axis)) + " src " +
+                           std::string(base.schema().Name(src)));
+    }
+  }
 }
 
 }  // namespace

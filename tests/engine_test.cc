@@ -5,6 +5,7 @@
 
 #include "test_util.h"
 #include "xcq/api.h"
+#include "xcq/engine/prune.h"
 
 namespace xcq {
 namespace {
@@ -304,6 +305,63 @@ TEST(EngineTest, VeryDeepDocument) {
       engine::Evaluate(&inst, plan, engine::EvalOptions{}, nullptr));
   EXPECT_EQ(SelectedTreeNodeCount(inst, result),
             static_cast<uint64_t>(depth));
+}
+
+// --- prune_bind accounting --------------------------------------------------
+
+TEST(PruneBindTimingTest, ColdBindIsChargedAndInSyncGatesAddNothing) {
+  // TreeBank's summary trie is large next to its DAG, so building and
+  // binding it is most of a cold evaluation of a cheap query.
+  XCQ_ASSERT_OK_AND_ASSIGN(const corpus::CorpusGenerator* generator,
+                           corpus::FindCorpus("TreeBank"));
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 3000;
+  gen.seed = 5;
+  const std::string xml = generator->Generate(gen);
+  XCQ_ASSERT_OK_AND_ASSIGN(Instance instance, CompressXml(xml, {}));
+  XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                           algebra::CompileString("//S/NP"));
+  const engine::EvalOptions options;  // pruning on
+
+  // Cold: the pruner's first gate builds the summary and binds, and the
+  // evaluation reports that time as prune_bind_seconds — most of the
+  // whole (about 0.8 on a quiet host).
+  engine::EvalStats cold;
+  XCQ_ASSERT_OK(engine::Evaluate(&instance, plan, options, &cold).status());
+  EXPECT_GT(cold.summary_builds, 0u);
+  EXPECT_GT(cold.prune_bind_seconds, 0.25 * cold.seconds);
+  EXPECT_LE(cold.prune_bind_seconds, cold.seconds);
+
+  // Repeats reach the split fixpoint; from there the summary stays
+  // cached and no evaluation rebuilds it.
+  engine::EvalStats warm;
+  for (int round = 0; round < 3; ++round) {
+    warm = engine::EvalStats{};
+    XCQ_ASSERT_OK(
+        engine::Evaluate(&instance, plan, options, &warm).status());
+  }
+  EXPECT_EQ(warm.splits, 0u);
+  EXPECT_EQ(warm.summary_builds, 0u);
+
+  // A pruner charges only its (re)binds: once bound, further gates on
+  // an unchanged instance add nothing.
+  size_t axis_op = plan.ops.size();
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    if (plan.ops[i].kind == algebra::OpKind::kAxis &&
+        plan.ops[i].axis == xpath::Axis::kChild) {
+      axis_op = i;
+    }
+  }
+  ASSERT_LT(axis_op, plan.ops.size());
+  double bind_seconds = 0.0;
+  engine::PlanPruner pruner(&instance, &plan, &options, &bind_seconds);
+  pruner.AxisGate(axis_op);
+  ASSERT_TRUE(pruner.active());
+  const double after_bind = bind_seconds;
+  EXPECT_GT(after_bind, 0.0);
+  pruner.AxisGate(axis_op);
+  pruner.AxisGate(axis_op);
+  EXPECT_EQ(bind_seconds, after_bind);
 }
 
 }  // namespace
