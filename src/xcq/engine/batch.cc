@@ -346,20 +346,28 @@ class SharedBatchRunner {
     return regions_.Gate(kind, union_src_, union_dst_);
   }
 
-  /// Folds one shared sweep's gate into the batch counters. `visited`
-  /// is what the sweep will walk; a full sweep walks every reachable
+  /// Folds one shared sweep's gate into the batch counters and into
+  /// its kernel family's slice. A full sweep walks every reachable
   /// vertex once regardless of chunk width.
-  void CountSweep(const PruneGate& gate, uint64_t reachable) {
+  void CountSweep(AxisFamily family, const PruneGate& gate,
+                  uint64_t reachable) {
     if (stats_ == nullptr) return;
-    stats_->sweep_full += reachable;
+    AxisFamilyStats& slice = stats_->axis[static_cast<size_t>(family)];
+    uint64_t visited = reachable;
     if (gate.skip) {
+      visited = 0;
       ++stats_->skipped_sweeps;
+      ++slice.skipped;
     } else if (gate.region != nullptr) {
+      visited = gate.region_vertices;
       ++stats_->pruned_sweeps;
-      stats_->sweep_visited += gate.region_vertices;
-    } else {
-      stats_->sweep_visited += reachable;
+      ++slice.pruned;
     }
+    ++slice.sweeps;
+    stats_->sweep_full += reachable;
+    slice.full += reachable;
+    stats_->sweep_visited += visited;
+    slice.visited += visited;
   }
 
   bool RunAxisChunk(Axis axis, std::span<const AxisEntry> chunk) {
@@ -444,7 +452,7 @@ class SharedBatchRunner {
         axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
     const TraversalCache& t = instance_->EnsureTraversal();
     const PruneGate gate = ChunkGate(SweepKind::kUpward, chunk, stage);
-    CountSweep(gate, t.order.size());
+    CountSweep(AxisFamily::kUpward, gate, t.order.size());
     if (gate.skip) return;  // dst scratch columns stay all-zero
     const DynamicBitset* const region = gate.region;
     const std::vector<uint64_t> src_mask = SourceMasks(chunk, t.order);
@@ -477,7 +485,7 @@ class SharedBatchRunner {
     const bool or_self = axis == Axis::kDescendantOrSelf;
     const TraversalCache& t = instance_->EnsureTraversal(true);
     const PruneGate gate = ChunkGate(SweepKind::kDownward, chunk, stage);
-    CountSweep(gate, t.order.size());
+    CountSweep(AxisFamily::kDownward, gate, t.order.size());
     if (gate.skip) return true;  // selects nothing, demands nothing
     const DynamicBitset* const region = gate.region;
     const size_t n = instance_->vertex_count();
@@ -543,7 +551,7 @@ class SharedBatchRunner {
     const bool forward = axis == Axis::kFollowingSibling;
     const TraversalCache& t = instance_->EnsureTraversal();
     const PruneGate gate = ChunkGate(SweepKind::kSibling, chunk, stage);
-    CountSweep(gate, t.order.size());
+    CountSweep(AxisFamily::kSibling, gate, t.order.size());
     if (gate.skip) return true;  // no list can demand a selection
     const DynamicBitset* const region = gate.region;
     const size_t n = instance_->vertex_count();

@@ -49,6 +49,10 @@ struct SharedBatchStats {
   uint64_t skipped_sweeps = 0;  ///< Shared sweeps skipped outright.
   uint64_t sweep_visited = 0;  ///< Vertices visited by shared sweeps.
   uint64_t sweep_full = 0;     ///< Visits unpruned sweeps would make.
+  /// The sweep counters above, split by the kernel family of each
+  /// shared sweep; the entries sum to the aggregates. Kernel time is
+  /// not split (`seconds` stays 0 here).
+  AxisFamilyStats axis[kAxisFamilyCount];
   double seconds = 0.0;
 };
 

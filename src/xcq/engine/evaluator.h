@@ -79,11 +79,12 @@ constexpr std::string_view AxisFamilyName(AxisFamily family) {
   return "unknown";
 }
 
-/// \brief Per-family slice of the sweep counters: for per-query
-/// evaluation the family entries sum to the aggregate EvalStats fields
-/// of the same name (shared-batch evaluation reports its sweeps in the
-/// aggregates only), and `seconds` is time inside the family's kernels
-/// (excluded: plan bookkeeping, prune binding, column ops).
+/// \brief Per-family slice of the sweep counters: the family entries
+/// sum to the aggregate EvalStats fields of the same name (a shared
+/// batch reports its slices with its aggregates, on the first outcome),
+/// and `seconds` is time inside the family's kernels (excluded: plan
+/// bookkeeping, prune binding, column ops; shared-batch sweeps book no
+/// per-family time).
 struct AxisFamilyStats {
   uint64_t sweeps = 0;        ///< Sweeps of this family (incl. closed forms).
   uint64_t visited = 0;       ///< Vertices the family's sweeps visited.

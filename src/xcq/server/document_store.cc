@@ -34,6 +34,12 @@ obs::LabelSet DocAxisLabels(const std::string& name,
       {"axis", std::string(engine::AxisFamilyName(family))}};
 }
 
+/// A counter's value as an integer count (the document counters only
+/// ever receive whole increments, far below 2^53).
+uint64_t Count(const obs::Counter* counter) {
+  return static_cast<uint64_t>(counter->Value());
+}
+
 /// Manifest header: format magic + version, own line.
 constexpr std::string_view kManifestHeader = "XCQM 1";
 constexpr std::string_view kManifestName = "MANIFEST";
@@ -448,7 +454,6 @@ StoredDocument::StoredDocument(QuerySession session, std::string name,
       name_(std::move(name)),
       registry_(registry) {
   RefreshFootprintLocked();  // single-threaded here: no lock needed yet
-  if (registry_ == nullptr) return;
   // Resolve every handle once; the per-query metrics cost is then only
   // relaxed atomic adds. The full series catalog is documented in
   // docs/OBSERVABILITY.md — keep the two in sync.
@@ -556,14 +561,12 @@ Result<QueryOutcome> StoredDocument::Query(std::string_view query_text,
   // Even failed runs can have merged labels in before erroring.
   RefreshFootprintLocked();
   if (outcome.ok()) {
-    ++queries_served_;
     label_seconds_ += outcome->label_seconds;
     minimize_seconds_ += outcome->minimize_seconds;
-    AccumulateSweepStats(outcome->stats);
-    if (handles_.queries != nullptr) handles_.queries->Increment();
+    handles_.queries->Increment();
     RecordOutcomeMetricsLocked(*outcome, elapsed);
     MaybeSpillLocked();
-  } else if (handles_.query_errors != nullptr) {
+  } else {
     handles_.query_errors->Increment();
   }
   return outcome;
@@ -583,8 +586,6 @@ Result<std::vector<QueryOutcome>> StoredDocument::Batch(
   }
   RefreshFootprintLocked();
   if (outcomes.ok()) {
-    ++batches_served_;
-    queries_served_ += outcomes->size();
     // Each batch member is charged an equal share of the batch's wall
     // time in the latency histogram — per-member times do not exist on
     // the shared-sweep path.
@@ -594,21 +595,17 @@ Result<std::vector<QueryOutcome>> StoredDocument::Batch(
     for (const QueryOutcome& outcome : *outcomes) {
       label_seconds_ += outcome.label_seconds;
       minimize_seconds_ += outcome.minimize_seconds;
-      AccumulateSweepStats(outcome.stats);
-      if (handles_.queries != nullptr) handles_.queries->Increment();
+      handles_.queries->Increment();
       RecordOutcomeMetricsLocked(outcome, share);
     }
-    if (handles_.batches != nullptr) handles_.batches->Increment();
-    if (handles_.batches_shared != nullptr) {
-      const uint64_t shared_delta =
-          session_.shared_batch_count() - shared_before;
-      if (shared_delta > 0) {
-        handles_.batches_shared->Increment(
-            static_cast<double>(shared_delta));
-      }
+    handles_.batches->Increment();
+    const uint64_t shared_delta =
+        session_.shared_batch_count() - shared_before;
+    if (shared_delta > 0) {
+      handles_.batches_shared->Increment(static_cast<double>(shared_delta));
     }
     MaybeSpillLocked();
-  } else if (handles_.query_errors != nullptr) {
+  } else {
     handles_.query_errors->Increment(
         static_cast<double>(query_texts.size()));
   }
@@ -667,16 +664,8 @@ void StoredDocument::MarkSpilledClean() {
       session_.tracked_tag_count() + session_.tracked_pattern_count();
 }
 
-void StoredDocument::AccumulateSweepStats(const engine::EvalStats& stats) {
-  sweep_visited_ += stats.sweep_visited;
-  sweep_full_ += stats.sweep_full;
-  pruned_sweeps_ += stats.pruned_sweeps;
-  skipped_sweeps_ += stats.skipped_sweeps;
-}
-
 void StoredDocument::RecordOutcomeMetricsLocked(const QueryOutcome& outcome,
                                                 double elapsed_seconds) {
-  if (registry_ == nullptr) return;
   handles_.latency->Observe(elapsed_seconds);
   for (size_t p = 0; p < obs::kPhaseCount; ++p) {
     const double seconds =
@@ -703,17 +692,19 @@ DocumentInfo StoredDocument::Info(std::string name) const {
   std::lock_guard<std::mutex> lock(mu_);
   DocumentInfo info;
   info.name = std::move(name);
-  info.queries_served = queries_served_;
-  info.batches_served = batches_served_;
-  info.batches_shared = session_.shared_batch_count();
+  info.queries_served = Count(handles_.queries);
+  info.batches_served = Count(handles_.batches);
+  info.batches_shared = Count(handles_.batches_shared);
+  for (const AxisHandles& ah : handles_.axis) {
+    info.sweep_visited += Count(ah.visited);
+    info.sweep_full += Count(ah.full);
+    info.pruned_sweeps += Count(ah.pruned);
+    info.skipped_sweeps += Count(ah.skipped);
+  }
   info.source_parses = session_.source_parse_count();
   info.has_source = session_.has_source();
   info.tracked_tags = session_.tracked_tag_count();
   info.tracked_patterns = session_.tracked_pattern_count();
-  info.sweep_visited = sweep_visited_;
-  info.sweep_full = sweep_full_;
-  info.pruned_sweeps = pruned_sweeps_;
-  info.skipped_sweeps = skipped_sweeps_;
   info.label_seconds = label_seconds_;
   info.minimize_seconds = minimize_seconds_;
   if (session_.has_instance()) {
@@ -732,26 +723,23 @@ DocumentInfo StoredDocument::Info(std::string name) const {
     info.traversal_builds = instance.traversal_builds();
     info.summary_builds = instance.path_summary_builds();
   }
-  if (batches_served_ > 0) {
-    info.share_rate = static_cast<double>(session_.shared_batch_count()) /
-                      static_cast<double>(batches_served_);
+  if (info.batches_served > 0) {
+    info.share_rate = static_cast<double>(info.batches_shared) /
+                      static_cast<double>(info.batches_served);
   }
-  if (registry_ != nullptr) {
-    const double uptime = registry_->UptimeSeconds();
-    if (uptime > 0.0) {
-      info.qps = static_cast<double>(queries_served_) / uptime;
-    }
-    const obs::Histogram::Snapshot snap = handles_.latency->Snap();
-    const std::vector<double>& bounds = handles_.latency->bounds();
-    info.p50_ms = obs::Histogram::Quantile(snap, bounds, 0.50) * 1e3;
-    info.p95_ms = obs::Histogram::Quantile(snap, bounds, 0.95) * 1e3;
-    info.p99_ms = obs::Histogram::Quantile(snap, bounds, 0.99) * 1e3;
+  const double uptime = registry_->UptimeSeconds();
+  if (uptime > 0.0) {
+    info.qps = static_cast<double>(info.queries_served) / uptime;
   }
+  const obs::Histogram::Snapshot snap = handles_.latency->Snap();
+  const std::vector<double>& bounds = handles_.latency->bounds();
+  info.p50_ms = obs::Histogram::Quantile(snap, bounds, 0.50) * 1e3;
+  info.p95_ms = obs::Histogram::Quantile(snap, bounds, 0.95) * 1e3;
+  info.p99_ms = obs::Histogram::Quantile(snap, bounds, 0.99) * 1e3;
   return info;
 }
 
-void StoredDocument::UpdateScrapeGauges(double uptime_seconds) {
-  if (registry_ == nullptr) return;
+void StoredDocument::UpdateScrapeGauges() {
   const DocumentInfo info = Info(name_);
   handles_.memory_bytes->Set(static_cast<double>(info.memory_bytes));
   handles_.vertices->Set(static_cast<double>(info.vertex_count));
@@ -766,22 +754,16 @@ void StoredDocument::UpdateScrapeGauges(double uptime_seconds) {
   handles_.scratch_allocations->Set(
       static_cast<double>(info.scratch_allocs));
   handles_.batch_share_rate->Set(info.share_rate);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (session_.has_instance()) {
-      handles_.scratch_capacity->Set(
-          static_cast<double>(session_.instance().scratch_capacity()));
-    }
-    if (uptime_seconds > 0.0) {
-      handles_.qps->Set(static_cast<double>(queries_served_) /
-                        uptime_seconds);
-    }
-    for (size_t f = 0; f < engine::kAxisFamilyCount; ++f) {
-      AxisHandles& ah = handles_.axis[f];
-      const double full = ah.full->Value();
-      const double visited = ah.visited->Value();
-      ah.prune_ratio->Set(full > 0.0 ? 1.0 - visited / full : 0.0);
-    }
+  handles_.qps->Set(info.qps);
+  for (AxisHandles& ah : handles_.axis) {
+    const double full = ah.full->Value();
+    const double visited = ah.visited->Value();
+    ah.prune_ratio->Set(full > 0.0 ? 1.0 - visited / full : 0.0);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (session_.has_instance()) {
+    handles_.scratch_capacity->Set(
+        static_cast<double>(session_.instance().scratch_capacity()));
   }
 }
 
@@ -1274,15 +1256,14 @@ std::string DocumentStore::ScrapeMetrics() {
     docs.reserve(docs_.size());
     for (const auto& [name, doc] : docs_) docs.push_back(doc);
   }
-  const double uptime = registry_.UptimeSeconds();
   for (const std::shared_ptr<StoredDocument>& doc : docs) {
-    doc->UpdateScrapeGauges(uptime);
+    doc->UpdateScrapeGauges();
   }
   documents_gauge_->Set(static_cast<double>(document_count()));
   warm_documents_gauge_->Set(static_cast<double>(warm_count()));
   spill_bytes_gauge_->Set(static_cast<double>(spills_.TotalBytes()));
   bytes_gauge_->Set(static_cast<double>(total_bytes()));
-  uptime_gauge_->Set(uptime);
+  uptime_gauge_->Set(registry_.UptimeSeconds());
   return registry_.RenderPrometheus();
 }
 

@@ -120,7 +120,10 @@ struct RecoveryStats {
   double seconds = 0.0;  ///< Wall time of the scan.
 };
 
-/// \brief One row of STATS: a snapshot of a cached document.
+/// \brief One row of STATS: a snapshot of a cached document. The
+/// counters are read from the document's registry series, so they are
+/// cumulative per document name (across EVICT, fault-in and re-LOAD),
+/// exactly like METRICS.
 struct DocumentInfo {
   std::string name;
   size_t memory_bytes = 0;        ///< Instance::MemoryFootprint().
@@ -129,7 +132,8 @@ struct DocumentInfo {
   uint64_t tree_nodes = 0;        ///< TreeNodeCount() — what the DAG stands for.
   size_t tracked_tags = 0;        ///< Tag relations present.
   size_t tracked_patterns = 0;    ///< String-constraint relations present.
-  uint64_t queries_served = 0;    ///< Single queries evaluated.
+  uint64_t queries_served = 0;    ///< Queries answered (batch members
+                                  ///  included; failures not counted).
   uint64_t batches_served = 0;    ///< BATCH requests evaluated.
   uint64_t batches_shared = 0;    ///< BATCHes served with shared sweeps.
   uint64_t source_parses = 0;     ///< Scans of the original document.
@@ -230,14 +234,18 @@ class SpillManager {
   uint64_t next_generation_ = 1;
 };
 
-/// \brief A cached compressed document: a `QuerySession` plus serving
-/// counters, evaluated under the document's own lock.
+/// \brief A cached compressed document: a `QuerySession` evaluated under
+/// the document's own lock, with its serving counters kept in the
+/// store's registry.
 class StoredDocument {
  public:
-  /// `registry` may be null (no metrics; for embedders that only want
-  /// the cache). With a registry, every per-document handle is resolved
-  /// here, once — the per-query cost of metrics is then only relaxed
-  /// atomic adds on the cached handles.
+  /// `registry` must not be null and must outlive the document. Every
+  /// per-document handle is resolved here, once — the per-query cost of
+  /// metrics is then only relaxed atomic adds on the cached handles.
+  /// The handles are the document's only counters: STATS (`Info`) and
+  /// METRICS read the same series, and because the registry revives a
+  /// series by name, they stay cumulative per document name across
+  /// EVICT, fault-in, and re-LOAD.
   StoredDocument(QuerySession session, std::string name,
                  obs::Registry* registry);
 
@@ -258,10 +266,9 @@ class StoredDocument {
 
   /// Refreshes this document's scrape-time gauges (instance footprint,
   /// scratch-pool residency, cache build counts, QPS, share rate) from
-  /// the current state; called by `DocumentStore::ScrapeMetrics` right
-  /// before rendering. `uptime_seconds` is the registry uptime used for
-  /// the QPS rate. No-op without a registry.
-  void UpdateScrapeGauges(double uptime_seconds);
+  /// the current state — the same values `Info` reports; called by
+  /// `DocumentStore::ScrapeMetrics` right before rendering.
+  void UpdateScrapeGauges();
 
   /// Current instance footprint in bytes (0 before the first query of an
   /// XML-loaded document). Reads a cached value refreshed after every
@@ -273,7 +280,7 @@ class StoredDocument {
   friend class DocumentStore;
 
   /// Resolved metric handles for one document (and, for the axis block,
-  /// one sweep family). All owned by the registry; null without one.
+  /// one sweep family). All owned by the registry.
   struct AxisHandles {
     obs::Counter* sweeps = nullptr;
     obs::Counter* visited = nullptr;
@@ -330,10 +337,6 @@ class StoredDocument {
   /// it was just read from.
   void MarkSpilledClean();
 
-  /// Folds one outcome's pruning counters into the cumulative totals;
-  /// mu_ must be held.
-  void AccumulateSweepStats(const engine::EvalStats& stats);
-
   /// Pushes one successful outcome into the resolved metric handles
   /// (per-axis counters, phase seconds, latency histogram); mu_ must be
   /// held. `elapsed_seconds` is this query's share of serving time.
@@ -343,7 +346,7 @@ class StoredDocument {
   mutable std::mutex mu_;
   QuerySession session_;
   std::string name_;
-  obs::Registry* registry_;  ///< Null = metrics disabled.
+  obs::Registry* registry_;
   Handles handles_;
   /// The owning store, for spill writes; null for store-less embedders.
   class DocumentStore* owner_ = nullptr;
@@ -354,14 +357,8 @@ class StoredDocument {
   /// LRU stamp, owned by the store; atomic so Find() can bump it under
   /// the store's *shared* lock.
   std::atomic<uint64_t> last_used_{0};
-  uint64_t queries_served_ = 0;
-  uint64_t batches_served_ = 0;
-  /// Cumulative sweep-pruning counters over all served queries
-  /// (docs/INTERNALS.md §9); surfaced via STATS.
-  uint64_t sweep_visited_ = 0;
-  uint64_t sweep_full_ = 0;
-  uint64_t pruned_sweeps_ = 0;
-  uint64_t skipped_sweeps_ = 0;
+  /// Timed by the session's own clock, not by the trace spans that feed
+  /// `xcq_phase_seconds_total`, so no registry series carries them.
   double label_seconds_ = 0.0;
   double minimize_seconds_ = 0.0;
 };

@@ -420,95 +420,6 @@ std::vector<std::string> BuildForgetReply(DocumentStore* store,
       StrFormat("no document named '%s' is loaded", name.c_str())))};
 }
 
-bool RequestHandler::Handle(
-    std::string_view line,
-    const std::function<bool(std::string*)>& read_line,
-    const std::function<void(std::string_view)>& write_line) {
-  // Blank keep-alive lines between requests are skipped, not answered —
-  // the one defined behavior for both front ends (see the header).
-  if (Trim(line).empty()) return true;
-  const Result<Request> parsed = ParseRequest(line);
-  if (!parsed.ok()) {
-    write_line(FormatError(parsed.status()));
-    return true;
-  }
-  const Request& request = *parsed;
-
-  if (request.kind == Request::Kind::kBatch &&
-      request.batch_size > options_.max_batch) {
-    write_line(FormatBatchLimitError(request.batch_size, options_.max_batch));
-    return true;
-  }
-
-  std::vector<std::string> reply;
-  switch (request.kind) {
-    case Request::Kind::kQuit:
-      write_line("OK bye");
-      return false;
-
-    case Request::Kind::kLoad:
-      reply = BuildLoadReply(store_, request.name, request.path);
-      break;
-
-    case Request::Kind::kQuery: {
-      QueryJob job;
-      job.document = request.name;
-      job.queries.push_back(request.query);
-      job.token = MakeDeadlineToken(request.timeout_ms,
-                                    options_.default_deadline_ms);
-      const QueryResponse response = service_->Submit(std::move(job)).get();
-      reply = BuildQueryReply(store_, request.name, request.query, response);
-      break;
-    }
-
-    case Request::Kind::kBatch: {
-      QueryJob job;
-      job.document = request.name;
-      job.queries.reserve(request.batch_size);
-      for (size_t i = 0; i < request.batch_size; ++i) {
-        std::string query;
-        if (!read_line(&query)) {
-          write_line(FormatError(Status::InvalidArgument(StrFormat(
-              "input ended after %zu of %zu batch queries", i,
-              request.batch_size))));
-          return false;  // the stream is out of sync; close
-        }
-        job.queries.push_back(std::move(query));
-      }
-      job.token = MakeDeadlineToken(request.timeout_ms,
-                                    options_.default_deadline_ms);
-      const std::vector<std::string> queries = job.queries;
-      const QueryResponse response = service_->Submit(std::move(job)).get();
-      reply = BuildBatchReply(store_, request.name, queries, response);
-      break;
-    }
-
-    case Request::Kind::kStats:
-      reply = BuildStatsReply(store_, service_);
-      break;
-
-    case Request::Kind::kMetrics:
-      reply = BuildMetricsReply(store_);
-      break;
-
-    case Request::Kind::kEvict:
-      reply = BuildEvictReply(store_, request.name);
-      break;
-
-    case Request::Kind::kPersist:
-      reply = BuildPersistReply(store_, request.name);
-      break;
-
-    case Request::Kind::kForget:
-      reply = BuildForgetReply(store_, request.name);
-      break;
-  }
-  for (const std::string& reply_line : reply) {
-    write_line(reply_line);
-  }
-  return true;
-}
-
 PipelinedHandler::PipelinedHandler(DocumentStore* store, QueryService* service,
                                    ReplySink sink, Limits limits, Hooks hooks,
                                    HandlerOptions options)
@@ -571,7 +482,7 @@ PipelinedHandler::FeedResult PipelinedHandler::Feed(const std::string& line) {
     return Dispatch(std::move(request), std::move(batch_body_), nullptr);
   }
 
-  // Blank keep-alive lines: same skip as RequestHandler (see header).
+  // Blank keep-alive lines between requests are skipped (see header).
   if (Trim(line).empty()) return FeedResult::kOk;
 
   Result<Request> parsed = ParseRequest(line);
@@ -735,7 +646,7 @@ void PipelinedHandler::OnInputClosed() {
   if (closed_) return;
   closed_ = true;
   if (collecting_.has_value()) {
-    // The blocking handler's early-EOF contract: answer ERR, close.
+    // Early EOF inside a BATCH body: answer ERR, close.
     EmitNow({FormatError(Status::InvalidArgument(
                 StrFormat("input ended after %zu of %zu batch queries",
                           batch_body_.size(), collecting_->batch_size)))},

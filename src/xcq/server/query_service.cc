@@ -47,52 +47,20 @@ QueryService::~QueryService() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void QueryService::EnqueueLocked(Task task) {
-  ++pending_[task.document].queued;
-  queue_.push_back(std::move(task));
+void QueryService::EnqueueLocked(WorkItem item) {
+  ++pending_[item.document].queued;
+  queue_.push_back(std::move(item));
   ++jobs_submitted_;
   queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
 }
 
-std::future<QueryResponse> QueryService::Submit(QueryJob job) {
-  std::string document = job.document;
-  auto task = std::make_shared<std::packaged_task<QueryResponse()>>(
-      [this, job = std::move(job)] { return Execute(job); });
-  std::future<QueryResponse> future = task->get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Resolve immediately instead of leaving a never-ready future.
-      std::packaged_task<QueryResponse()> rejected(
-          [] { return QueryResponse(Status::Internal("service stopped")); });
-      future = rejected.get_future();
-      rejected();
-      return future;
-    }
-    EnqueueLocked(Task{std::move(document),
-                       [task = std::move(task)] { (*task)(); }, nullptr,
-                       nullptr});
-  }
-  cv_.notify_one();
-  return future;
-}
-
-bool QueryService::TrySubmitWork(std::string document,
-                                 std::function<void()> work) {
-  WorkItem item;
-  item.document = std::move(document);
-  item.run = std::move(work);
-  return TrySubmitWork(std::move(item));
-}
-
 bool QueryService::TrySubmitWork(WorkItem item) {
-  Task displaced;
+  WorkItem displaced;
   Status displaced_status;
   bool have_displaced = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      ++rejected_;
       rejections_total_->Increment();
       return false;
     }
@@ -114,13 +82,11 @@ bool QueryService::TrySubmitWork(WorkItem item) {
         break;
       }
       if (!have_displaced) {
-        ++rejected_;
         rejections_total_->Increment();
         return false;
       }
     }
-    EnqueueLocked(Task{std::move(item.document), std::move(item.run),
-                       std::move(item.shed), std::move(item.token)});
+    EnqueueLocked(std::move(item));
   }
   cv_.notify_one();
   if (have_displaced && displaced.shed) displaced.shed(displaced_status);
@@ -135,11 +101,9 @@ void QueryService::CountDeadLocked(const std::string& document,
     pending_.erase(document);
   }
   if (status.code() == StatusCode::kCancelled) {
-    ++cancelled_total_;
     ++shed_counts_[document].cancelled;
     cancelled_counter_->Increment();
   } else {
-    ++shed_total_;
     ++shed_counts_[document].shed;
     shed_counter_->Increment();
   }
@@ -150,7 +114,6 @@ void QueryService::NoteRequestError(const std::string& document,
                                     StatusCode code) {
   if (code == StatusCode::kCancelled) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++cancelled_total_;
     ++shed_counts_[document].cancelled;
     cancelled_counter_->Increment();
   } else if (code == StatusCode::kDeadlineExceeded) {
@@ -206,8 +169,7 @@ uint64_t QueryService::jobs_submitted() const {
 }
 
 uint64_t QueryService::rejected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
+  return static_cast<uint64_t>(rejections_total_->Value());
 }
 
 size_t QueryService::queue_depth() const {
@@ -221,13 +183,11 @@ size_t QueryService::jobs_inflight() const {
 }
 
 uint64_t QueryService::shed_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shed_total_;
+  return static_cast<uint64_t>(shed_counter_->Value());
 }
 
 uint64_t QueryService::cancelled_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cancelled_total_;
+  return static_cast<uint64_t>(cancelled_counter_->Value());
 }
 
 void QueryService::ShedForDocument(const std::string& document,
@@ -260,7 +220,7 @@ void QueryService::PendingForDocument(const std::string& document,
 
 void QueryService::WorkerLoop() {
   while (true) {
-    Task task;
+    WorkItem task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });

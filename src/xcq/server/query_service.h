@@ -10,19 +10,17 @@
 /// Every QUERY / BATCH / LOAD / STATS request becomes a task executed
 /// on one of `worker_threads` pool threads, so the number of concurrent
 /// evaluations — and therefore peak split-growth memory — is bounded no
-/// matter how many clients connect. Two submission paths exist:
-///
-///  * `Submit(job)` — the embedder API: always enqueues (unbounded) and
-///    returns a future. Tests and simple callers block on it.
-///  * `TrySubmitWork(document, work)` — the front-end API: refuses
-///    (returns false, nothing enqueued) when the bounded queue
-///    (`ServiceOptions::queue_depth`) is full. The event loop reacts by
-///    *pausing the connection's socket reads* — natural TCP
-///    backpressure — and retrying when a completion frees a slot, so
-///    overload stalls clients instead of dropping or reordering work.
+/// matter how many clients connect. There is one submission path:
+/// `PipelinedHandler` wraps each request in a `WorkItem` and calls
+/// `TrySubmitWork`, whose task body evaluates through `Execute`.
+/// `TrySubmitWork` refuses (returns false, nothing enqueued) when the
+/// bounded queue (`ServiceOptions::queue_depth`) is full. The event
+/// loop reacts by *pausing the connection's socket reads* — natural TCP
+/// backpressure — and retrying when a completion frees a slot, so
+/// overload stalls clients instead of dropping or reordering work.
 ///
 /// Completions are plain callbacks run on the worker thread that
-/// executed the task; the async front end's callbacks format the
+/// executed the task; the front end's callbacks format the
 /// response and hand the bytes back to the event loop (the "completion
 /// enqueues bytes" inversion — see tcp_server.h).
 ///
@@ -32,10 +30,13 @@
 /// work is paid once per batch instead of once per query.
 ///
 /// Observability: the service registers `xcq_server_queue_depth`,
-/// `xcq_server_queue_limit`, `xcq_server_queue_rejections_total`, and
-/// `xcq_server_jobs_inflight` on the store's registry
-/// (docs/OBSERVABILITY.md) and keeps per-document queued/in-flight
-/// counts for the STATS `queued=`/`inflight=` fields.
+/// `xcq_server_queue_limit`, `xcq_server_queue_rejections_total`,
+/// `xcq_server_jobs_inflight` and the shed/cancelled/deadline counters
+/// on the store's registry (docs/OBSERVABILITY.md); its store-wide
+/// accessors read those series. It keeps per-document queued/in-flight
+/// counts for the STATS `queued=`/`inflight=` fields and per-document
+/// shed/cancelled counts for `shed=`/`cancelled=`, which no series
+/// breaks down by document.
 ///
 /// Deadlines and load shedding: a `WorkItem` may carry a `CancelToken`
 /// (deadline and/or client-disconnect cancellation). The service never
@@ -55,7 +56,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,9 +72,8 @@ namespace xcq::server {
 struct ServiceOptions {
   /// Worker pool size; clamped to at least 1.
   size_t worker_threads = 4;
-  /// Bound on tasks waiting in the queue for the admission-controlled
-  /// `TrySubmitWork` path; 0 = unbounded. The blocking `Submit` path
-  /// always enqueues regardless (embedders manage their own pressure).
+  /// Bound on tasks waiting in the queue; `TrySubmitWork` refuses past
+  /// it. 0 = unbounded.
   size_t queue_depth = 0;
 };
 
@@ -115,21 +114,13 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues `job` for the pool; the future resolves when a worker has
-  /// evaluated it. Never refused (the embedder path).
-  std::future<QueryResponse> Submit(QueryJob job);
-
-  /// Admission-controlled enqueue: runs `work` on a worker thread, or
-  /// returns false *without enqueueing* when the bounded queue is full.
-  /// `document` attributes the task in the per-document queue counts
-  /// (STATS `queued=`/`inflight=`); pass "" for store-wide work.
-  /// `work` owns its own completion delivery.
-  bool TrySubmitWork(std::string document, std::function<void()> work);
-
-  /// As above with cancellation state: a dead item is shed instead of
-  /// run, and a full queue sheds one already-dead queued task to admit
-  /// this one before refusing. The shed callback of a displaced task
-  /// runs on the submitting thread, after the queue lock is released.
+  /// Admission-controlled enqueue: runs `item.run` on a worker thread,
+  /// or returns false *without enqueueing* when the bounded queue is
+  /// full (or the service is stopping). `item.run` owns its own
+  /// completion delivery. A dead item is shed instead of run, and a
+  /// full queue sheds one already-dead queued task to admit this one
+  /// before refusing. The shed callback of a displaced task runs on the
+  /// submitting thread, after the queue lock is released.
   bool TrySubmitWork(WorkItem item);
 
   /// Records a request that *executed* and failed with `kCancelled`
@@ -139,15 +130,16 @@ class QueryService {
   /// codes are ignored, so handlers can call this on every error.
   void NoteRequestError(const std::string& document, StatusCode code);
 
-  /// Evaluates `job` on the calling thread (the worker path, also
-  /// useful for tests and simple embedders).
+  /// Evaluates `job` on the calling thread — what a submitted task body
+  /// calls on its worker.
   QueryResponse Execute(const QueryJob& job);
 
   /// Jobs accepted so far (served + queued).
   uint64_t jobs_submitted() const;
 
   /// TrySubmitWork refusals so far (each one paused a connection; no
-  /// request is ever dropped).
+  /// request is ever dropped); reads
+  /// `xcq_server_queue_rejections_total`.
   uint64_t rejected() const;
 
   /// Tasks currently waiting in the queue (not yet picked by a worker).
@@ -170,21 +162,17 @@ class QueryService {
   void ShedForDocument(const std::string& document, uint64_t* shed,
                        uint64_t* cancelled) const;
 
-  /// Requests shed (deadline already expired at dequeue / displacement).
+  /// Requests shed (deadline already expired at dequeue / displacement);
+  /// reads `xcq_server_requests_shed_total`.
   uint64_t shed_total() const;
 
-  /// Requests cancelled (token cancelled while queued or in flight).
+  /// Requests cancelled (token cancelled while queued or in flight);
+  /// reads `xcq_server_requests_cancelled_total`.
   uint64_t cancelled_total() const;
 
   size_t worker_count() const { return workers_.size(); }
 
  private:
-  struct Task {
-    std::string document;
-    std::function<void()> run;
-    std::function<void(const Status&)> shed;
-    std::shared_ptr<CancelToken> token;
-  };
   struct Pending {
     uint64_t queued = 0;
     uint64_t inflight = 0;
@@ -197,7 +185,7 @@ class QueryService {
 
   void WorkerLoop();
   /// Appends a task and refreshes the queue gauges; mu_ must be held.
-  void EnqueueLocked(Task task);
+  void EnqueueLocked(WorkItem item);
   /// Books one dead-at-dequeue task under the shed or cancelled family
   /// (by the status code) and drops its per-document queued count;
   /// mu_ must be held. The caller runs the shed callback after
@@ -217,7 +205,7 @@ class QueryService {
   obs::Counter* deadline_exceeded_counter_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Task> queue_;
+  std::deque<WorkItem> queue_;
   /// Per-document queued/in-flight counts; entries erased at zero.
   std::map<std::string, Pending> pending_;
   /// Per-document cumulative shed/cancelled counts (STATS); kept for
@@ -226,9 +214,6 @@ class QueryService {
   size_t inflight_ = 0;
   bool stopping_ = false;
   uint64_t jobs_submitted_ = 0;
-  uint64_t rejected_ = 0;
-  uint64_t shed_total_ = 0;
-  uint64_t cancelled_total_ = 0;
   std::vector<std::thread> workers_;
 };
 

@@ -1,6 +1,7 @@
 #include "xcq/session/query_session.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "xcq/algebra/compiler.h"
 #include "xcq/compress/common_extension.h"
@@ -505,11 +506,15 @@ Result<std::vector<QueryOutcome>> QuerySession::RunBatch(
         instance_->ReleaseScratchRelation(id);
       }
       // Shared sweeps are per batch, not per query: report the prune
-      // counters on the first outcome (like the shared label time).
-      outcomes.front().stats.pruned_sweeps = shared_stats.pruned_sweeps;
-      outcomes.front().stats.skipped_sweeps = shared_stats.skipped_sweeps;
-      outcomes.front().stats.sweep_visited = shared_stats.sweep_visited;
-      outcomes.front().stats.sweep_full = shared_stats.sweep_full;
+      // counters and their per-family slices on the first outcome (like
+      // the shared label time).
+      engine::EvalStats& first = outcomes.front().stats;
+      first.pruned_sweeps = shared_stats.pruned_sweeps;
+      first.skipped_sweeps = shared_stats.skipped_sweeps;
+      first.sweep_visited = shared_stats.sweep_visited;
+      first.sweep_full = shared_stats.sweep_full;
+      std::copy(std::begin(shared_stats.axis), std::end(shared_stats.axis),
+                std::begin(first.axis));
       outcomes.front().label_seconds = label_seconds;
       for (size_t i = 0; i < outcomes.size(); ++i) {
         outcomes[i].trace = std::move(traces[i]);

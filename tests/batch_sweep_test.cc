@@ -242,6 +242,24 @@ TEST(BatchSweepEquivalenceTest, WarmedBatchesOverEveryCorpus) {
   }
 }
 
+/// The per-family slices of `stats` add up to its sweep aggregates —
+/// what lets the per-axis metric series account for every sweep.
+void ExpectFamiliesSumToTotals(const engine::EvalStats& stats) {
+  engine::AxisFamilyStats sum;
+  for (const engine::AxisFamilyStats& family : stats.axis) {
+    sum.sweeps += family.sweeps;
+    sum.visited += family.visited;
+    sum.full += family.full;
+    sum.pruned += family.pruned;
+    sum.skipped += family.skipped;
+  }
+  EXPECT_EQ(sum.visited, stats.sweep_visited);
+  EXPECT_EQ(sum.full, stats.sweep_full);
+  EXPECT_EQ(sum.pruned, stats.pruned_sweeps);
+  EXPECT_EQ(sum.skipped, stats.skipped_sweeps);
+  EXPECT_GE(sum.sweeps, sum.pruned + sum.skipped);
+}
+
 TEST(BatchSweepPruningTest, PrunedSharedBatchMatchesUnprunedSharedBatch) {
   // Sweep pruning composes with sharing: the same warmed batch run with
   // pruning on and off must engage both times and answer identically,
@@ -288,6 +306,14 @@ TEST(BatchSweepPruningTest, PrunedSharedBatchMatchesUnprunedSharedBatch) {
   EXPECT_LE(a.front().stats.sweep_visited, a.front().stats.sweep_full);
   EXPECT_EQ(b.front().stats.pruned_sweeps, 0u);
   EXPECT_EQ(b.front().stats.skipped_sweeps, 0u);
+  // The batch-wide sweep counters on the first outcome carry their
+  // per-family split, pruned or not; every outcome's slices add up.
+  for (const std::vector<QueryOutcome>* run : {&a, &b}) {
+    EXPECT_GT(run->front().stats.sweep_full, 0u);
+    for (const QueryOutcome& outcome : *run) {
+      ExpectFamiliesSumToTotals(outcome.stats);
+    }
+  }
 }
 
 TEST(BatchSweepServerTest, StoredDocumentReportsSharedBatches) {
@@ -295,10 +321,10 @@ TEST(BatchSweepServerTest, StoredDocumentReportsSharedBatches) {
   XCQ_ASSERT_OK(store.LoadXml("doc", testing::BibExampleXml()));
   server::QueryService service(&store, server::ServiceOptions{2});
 
-  server::QueryJob job;
-  job.document = "doc";
-  job.queries = {"//paper[author]", "//book[author]"};
-  XCQ_ASSERT_OK(service.Submit(job).get().status());
+  const std::vector<std::string> output = testing::Converse(
+      &store, &service, {"BATCH doc 2", "//paper[author]", "//book[author]"});
+  ASSERT_EQ(output.size(), 3u);
+  EXPECT_EQ(output[0], "OK 2");
 
   const std::vector<server::DocumentInfo> stats = store.Stats();
   ASSERT_EQ(stats.size(), 1u);

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -292,6 +293,14 @@ class WorkerPlug {
   bool released_ = false;
 };
 
+/// A task with no cancellation state: it always runs once dequeued.
+WorkItem PlainWork(std::string document, std::function<void()> run) {
+  WorkItem item;
+  item.document = std::move(document);
+  item.run = std::move(run);
+  return item;
+}
+
 TEST(SheddingTest, DeadWorkIsShedAtDequeueNeverRun) {
   DocumentStore store;
   ServiceOptions options;
@@ -299,7 +308,7 @@ TEST(SheddingTest, DeadWorkIsShedAtDequeueNeverRun) {
   QueryService service(&store, options);
 
   WorkerPlug plug;
-  ASSERT_TRUE(service.TrySubmitWork("", plug.Task()));
+  ASSERT_TRUE(service.TrySubmitWork(PlainWork("", plug.Task())));
   plug.AwaitStarted();
 
   // Three requests queue behind the plug with already-expired
@@ -323,7 +332,8 @@ TEST(SheddingTest, DeadWorkIsShedAtDequeueNeverRun) {
   }
   // One live request behind them must still run.
   std::atomic<bool> live_ran{false};
-  ASSERT_TRUE(service.TrySubmitWork("doc", [&live_ran] { live_ran = true; }));
+  ASSERT_TRUE(service.TrySubmitWork(
+      PlainWork("doc", [&live_ran] { live_ran = true; })));
 
   plug.Release();
   const auto deadline = std::chrono::steady_clock::now() +
@@ -350,7 +360,7 @@ TEST(SheddingTest, FullQueueDisplacesDeadTaskForLiveWork) {
   QueryService service(&store, options);
 
   WorkerPlug plug;
-  ASSERT_TRUE(service.TrySubmitWork("", plug.Task()));
+  ASSERT_TRUE(service.TrySubmitWork(PlainWork("", plug.Task())));
   plug.AwaitStarted();
 
   // Fill the queue: one dead task, one live one.
@@ -369,14 +379,16 @@ TEST(SheddingTest, FullQueueDisplacesDeadTaskForLiveWork) {
     ASSERT_TRUE(service.TrySubmitWork(std::move(dead)));
   }
   std::atomic<int> live_ran{0};
-  ASSERT_TRUE(service.TrySubmitWork("doc", [&live_ran] { ++live_ran; }));
+  ASSERT_TRUE(
+      service.TrySubmitWork(PlainWork("doc", [&live_ran] { ++live_ran; })));
 
   // Queue is now full. A fresh live submission must displace the dead
   // task (shedding it on THIS thread) instead of being refused...
-  ASSERT_TRUE(service.TrySubmitWork("doc", [&live_ran] { ++live_ran; }));
+  ASSERT_TRUE(
+      service.TrySubmitWork(PlainWork("doc", [&live_ran] { ++live_ran; })));
   EXPECT_EQ(dead_shed.load(), 1);
   // ...and with only live tasks left, the next submission is refused.
-  EXPECT_FALSE(service.TrySubmitWork("doc", [] {}));
+  EXPECT_FALSE(service.TrySubmitWork(PlainWork("doc", [] {})));
   EXPECT_GE(service.rejected(), 1u);
 
   plug.Release();
@@ -421,28 +433,7 @@ TEST(ProtocolTest, TimeoutClauseParses) {
   }
 }
 
-/// Runs one scripted conversation through RequestHandler (the blocking
-/// front end) with explicit handler options.
-std::vector<std::string> Converse(DocumentStore* store, QueryService* service,
-                                  HandlerOptions options,
-                                  std::vector<std::string> input) {
-  RequestHandler handler(store, service, options);
-  std::vector<std::string> output;
-  size_t next = 0;
-  const auto read_line = [&](std::string* line) {
-    if (next >= input.size()) return false;
-    *line = input[next++];
-    return true;
-  };
-  const auto write_line = [&](std::string_view line) {
-    output.emplace_back(line);
-  };
-  std::string line;
-  while (read_line(&line)) {
-    if (!handler.Handle(line, read_line, write_line)) break;
-  }
-  return output;
-}
+using testing::Converse;
 
 TEST(ProtocolTest, OversizedBatchAnswersWithoutConsumingBody) {
   DocumentStore store;
@@ -453,9 +444,10 @@ TEST(ProtocolTest, OversizedBatchAnswersWithoutConsumingBody) {
   // The over-limit header is answered immediately and consumes no body
   // lines: the next line is a fresh request, not a swallowed query.
   const std::vector<std::string> output =
-      Converse(&store, &service, options,
+      Converse(&store, &service,
                {"BATCH bib 3", "QUERY bib //paper/author", "BATCH bib 2",
-                "//paper", "//book", "QUIT"});
+                "//paper", "//book", "QUIT"},
+               options);
   ASSERT_EQ(output.size(), 6u);
   EXPECT_EQ(output[0].rfind("ERR InvalidArgument", 0), 0u) << output[0];
   EXPECT_NE(output[0].find("limit"), std::string::npos) << output[0];
@@ -471,8 +463,8 @@ TEST(ProtocolTest, DefaultDeadlineAppliesToDeadlinelessRequests) {
   HandlerOptions options;
   options.default_deadline_ms = 1;  // first touch of 40k nodes takes longer
   const std::vector<std::string> output =
-      Converse(&store, &service, options,
-               {"QUERY heavy //t0/descendant::t2"});
+      Converse(&store, &service, {"QUERY heavy //t0/descendant::t2"},
+               options);
   ASSERT_EQ(output.size(), 1u);
   EXPECT_EQ(output[0].rfind("ERR DeadlineExceeded", 0), 0u) << output[0];
 }

@@ -1,6 +1,7 @@
 // The query daemon, bottom to top: DocumentStore caching and eviction,
-// QueryService pool scheduling, protocol parsing, the RequestHandler
-// conversation, and the TCP front end over real sockets.
+// QueryService pool scheduling, protocol parsing, the pipelined
+// conversation driven over strings, and the TCP front end over real
+// sockets.
 //
 // The two load-bearing guarantees (ISSUE 2 acceptance criteria):
 //  * a `.xcqi`-preloaded document answers a 100-query BATCH with ZERO
@@ -14,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -31,6 +33,8 @@
 namespace xcq::server {
 namespace {
 
+using testing::Converse;
+
 // Tags t0/t1/t2 match testing::RandomXml(seed, nodes, /*tag_count=*/3).
 const char* kStormQueries[] = {
     "//t0",
@@ -46,6 +50,14 @@ const char* kStormQueries[] = {
 };
 
 std::string StormXml() { return testing::RandomXml(1234, 1500, 3); }
+
+/// The `tree=` count of one QUERY reply or BATCH detail line; -1 when
+/// the line carries none (an ERR).
+long long TreeCount(const std::string& line) {
+  const size_t at = line.find(" tree=");
+  if (at == std::string::npos) return -1;
+  return std::strtoll(line.c_str() + at + 6, nullptr, 10);
+}
 
 /// Single-threaded reference: tree-node count per query. (Tree counts
 /// are the semantic result — what decompression would materialize.
@@ -142,18 +154,39 @@ TEST(QueryServiceTest, ExecuteUnknownDocumentIsNotFound) {
   EXPECT_EQ(service.Execute(job).status().code(), StatusCode::kNotFound);
 }
 
-TEST(QueryServiceTest, SubmitResolvesOnPoolThread) {
+TEST(QueryServiceTest, SubmittedWorkExecutesOnPoolThread) {
   DocumentStore store;
   XCQ_ASSERT_OK(store.LoadXml("bib", testing::BibExampleXml()));
   QueryService service(&store, ServiceOptions{2});
   QueryJob job;
   job.document = "bib";
   job.queries = {"//paper/author"};
-  auto future = service.Submit(std::move(job));
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread::id worker;
+  QueryResponse response = Status::Internal("not run");
+  WorkItem item;
+  item.document = "bib";
+  item.run = [&] {
+    QueryResponse result = service.Execute(job);
+    std::lock_guard<std::mutex> lock(mu);
+    response = std::move(result);
+    worker = std::this_thread::get_id();
+    done = true;
+    cv.notify_all();
+  };
+  ASSERT_TRUE(service.TrySubmitWork(std::move(item)));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
+  }
   XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> outcomes,
-                           future.get());
+                           std::move(response));
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].selected_tree_nodes, 2u);
+  EXPECT_NE(worker, std::this_thread::get_id());
   EXPECT_EQ(service.jobs_submitted(), 1u);
 }
 
@@ -165,6 +198,8 @@ TEST(QueryServiceTest, ConcurrentStormMatchesSingleThreaded) {
   XCQ_ASSERT_OK(store.LoadXml("doc", xml));
   QueryService service(&store, ServiceOptions{4});
 
+  // Each thread is one client conversation; the conversations share
+  // the pool and the document.
   constexpr int kThreads = 8;
   constexpr int kQueriesPerThread = 30;
   std::atomic<int> mismatches{0};
@@ -173,19 +208,22 @@ TEST(QueryServiceTest, ConcurrentStormMatchesSingleThreaded) {
   clients.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
+      std::vector<std::string> queries;
+      std::vector<std::string> input;
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        const char* query =
-            kStormQueries[(t + i) % std::size(kStormQueries)];
-        QueryJob job;
-        job.document = "doc";
-        job.queries = {query};
-        const QueryResponse response = service.Submit(std::move(job)).get();
-        if (!response.ok()) {
+        queries.push_back(kStormQueries[(t + i) % std::size(kStormQueries)]);
+        input.push_back("QUERY doc " + queries.back());
+      }
+      const std::vector<std::string> output = Converse(&store, &service, input);
+      if (output.size() != queries.size()) {
+        failures += kQueriesPerThread;
+        return;
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const long long tree = TreeCount(output[i]);
+        if (tree < 0) {
           ++failures;
-          continue;
-        }
-        if (response->front().selected_tree_nodes !=
-            reference.at(query)) {
+        } else if (static_cast<uint64_t>(tree) != reference.at(queries[i])) {
           ++mismatches;
         }
       }
@@ -213,19 +251,21 @@ TEST(QueryServiceTest, BatchMatchesSequentialEvaluation) {
     sequential.push_back(outcome.selected_tree_nodes);
   }
 
-  // Batched: one job, label sets unioned before a single merge pass.
+  // Batched: one BATCH, label sets unioned before a single merge pass.
   DocumentStore batch_store;
   XCQ_ASSERT_OK(batch_store.LoadXml("doc", xml));
   QueryService service(&batch_store, ServiceOptions{2});
-  QueryJob job;
-  job.document = "doc";
-  job.queries = queries;
-  XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> batched,
-                           service.Submit(std::move(job)).get());
+  std::vector<std::string> input = {
+      "BATCH doc " + std::to_string(queries.size())};
+  input.insert(input.end(), queries.begin(), queries.end());
+  const std::vector<std::string> batched =
+      Converse(&batch_store, &service, input);
 
-  ASSERT_EQ(batched.size(), sequential.size());
-  for (size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].selected_tree_nodes, sequential[i])
+  ASSERT_EQ(batched.size(), sequential.size() + 1);
+  EXPECT_EQ(batched[0], "OK " + std::to_string(queries.size()));
+  for (size_t i = 0; i < sequential.size(); ++i) {
+    EXPECT_EQ(TreeCount(batched[i + 1]),
+              static_cast<long long>(sequential[i]))
         << "query " << queries[i];
   }
   // The batch needed exactly one scan of the document, the sequential
@@ -257,16 +297,16 @@ TEST(QueryServiceTest, HundredQueryBatchOverXcqiWithZeroReparses) {
   for (int i = 0; i < 100; ++i) {
     batch.push_back(kStormQueries[i % std::size(kStormQueries)]);
   }
-  QueryJob job;
-  job.document = "doc";
-  job.queries = batch;
-  XCQ_ASSERT_OK_AND_ASSIGN(const std::vector<QueryOutcome> outcomes,
-                           service.Submit(std::move(job)).get());
-  ASSERT_EQ(outcomes.size(), 100u);
+  std::vector<std::string> input = {"BATCH doc 100"};
+  input.insert(input.end(), batch.begin(), batch.end());
+  const std::vector<std::string> output = Converse(&store, &service, input);
+  ASSERT_EQ(output.size(), 101u);
+  EXPECT_EQ(output[0], "OK 100");
 
   const std::map<std::string, uint64_t> reference = ReferenceCounts(xml);
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    EXPECT_EQ(outcomes[i].selected_tree_nodes, reference.at(batch[i]))
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(TreeCount(output[i + 1]),
+              static_cast<long long>(reference.at(batch[i])))
         << "query " << batch[i];
   }
 
@@ -348,30 +388,7 @@ TEST(ProtocolTest, ErrorsStayOnOneLine) {
   EXPECT_EQ(formatted.rfind("ERR ", 0), 0u);
 }
 
-/// Runs one scripted conversation through RequestHandler over string
-/// vectors — the whole daemon minus sockets.
-std::vector<std::string> Converse(DocumentStore* store,
-                                  QueryService* service,
-                                  std::vector<std::string> input) {
-  RequestHandler handler(store, service);
-  std::vector<std::string> output;
-  size_t next = 0;
-  const auto read_line = [&](std::string* line) {
-    if (next >= input.size()) return false;
-    *line = input[next++];
-    return true;
-  };
-  const auto write_line = [&](std::string_view line) {
-    output.emplace_back(line);
-  };
-  std::string line;
-  while (read_line(&line)) {
-    if (!handler.Handle(line, read_line, write_line)) break;
-  }
-  return output;
-}
-
-TEST(ProtocolTest, RequestHandlerConversation) {
+TEST(ProtocolTest, ScriptedConversation) {
   const std::string xml_path = ::testing::TempDir() + "/handler_bib.xml";
   XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, testing::BibExampleXml()));
 
@@ -851,6 +868,122 @@ TEST(TcpServerTest, MetricsMoveWithQueriesAndVanishOnEvict) {
 
   client.Ask("QUIT");
   server.Stop();
+}
+
+/// A STATS row as key -> value (the leading document name is skipped).
+std::map<std::string, std::string> StatsFields(const std::string& row) {
+  std::map<std::string, std::string> fields;
+  size_t start = row.find(' ');
+  while (start != std::string::npos && start < row.size()) {
+    size_t end = row.find(' ', start + 1);
+    if (end == std::string::npos) end = row.size();
+    const std::string token = row.substr(start + 1, end - start - 1);
+    const size_t eq = token.find('=');
+    if (eq != std::string::npos) {
+      fields[token.substr(0, eq)] = token.substr(eq + 1);
+    }
+    start = end;
+  }
+  return fields;
+}
+
+TEST(ProtocolTest, StatsCountersAreTheirMetricSeries) {
+  // STATS and METRICS are two views of one ledger: every STATS counter
+  // equals its registry series after each step, and both stay
+  // cumulative per document name across a failed query, EVICT plus
+  // fault-in, and a re-LOAD.
+  const std::string xml_path = ::testing::TempDir() + "/ledger_bib.xml";
+  XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, testing::BibExampleXml()));
+  std::string data_dir = ::testing::TempDir() + "/xcq_ledger_XXXXXX";
+  ASSERT_NE(::mkdtemp(data_dir.data()), nullptr);
+  StoreOptions store_options;
+  store_options.data_dir = data_dir;
+  DocumentStore store(store_options);
+  XCQ_ASSERT_OK(store.durability_status());
+  QueryService service(&store, ServiceOptions{2});
+
+  const auto expect_ledger = [&](const std::string& step,
+                                 const std::string& queries,
+                                 const std::string& batches,
+                                 const std::string& shared) {
+    SCOPED_TRACE(step);
+    const std::vector<std::string> stats =
+        Converse(&store, &service, {"STATS"});
+    ASSERT_EQ(stats.size(), 2u);
+    ASSERT_EQ(stats[1].rfind("bib ", 0), 0u) << stats[1];
+    std::map<std::string, std::string> row = StatsFields(stats[1]);
+    EXPECT_EQ(row["resident"], "1");
+    EXPECT_EQ(row["queries"], queries);
+    EXPECT_EQ(row["batches"], batches);
+    EXPECT_EQ(row["shared"], shared);
+
+    const std::map<std::string, double> samples =
+        ParseSamples(Converse(&store, &service, {"METRICS"}));
+    const auto series = [&](const std::string& name,
+                            const std::string& axis = "") {
+      const std::string key =
+          name + (axis.empty() ? "{document=\"bib\"}"
+                               : "{axis=\"" + axis + "\",document=\"bib\"}");
+      const auto it = samples.find(key);
+      EXPECT_NE(it, samples.end()) << key;
+      return it == samples.end() ? -1.0 : it->second;
+    };
+    const auto axis_sum = [&](const std::string& name) {
+      double sum = 0.0;
+      for (const char* axis : {"downward", "upward", "sibling"}) {
+        sum += series(name, axis);
+      }
+      return sum;
+    };
+    const auto count = [&](const std::string& key) {
+      return std::strtod(row[key].c_str(), nullptr);
+    };
+    EXPECT_EQ(count("queries"), series("xcq_document_queries_total"));
+    EXPECT_EQ(count("batches"), series("xcq_document_batches_total"));
+    EXPECT_EQ(count("shared"), series("xcq_document_batches_shared_total"));
+    EXPECT_EQ(count("visited"), axis_sum("xcq_sweep_visited_total"));
+    EXPECT_EQ(count("full"), axis_sum("xcq_sweep_full_total"));
+    EXPECT_EQ(count("pruned"), axis_sum("xcq_sweeps_pruned_total"));
+    EXPECT_EQ(count("skipped"), axis_sum("xcq_sweeps_skipped_total"));
+    const double batches_total = count("batches");
+    char share_rate[32];
+    std::snprintf(share_rate, sizeof share_rate, "%.3f",
+                  batches_total > 0 ? count("shared") / batches_total : 0.0);
+    EXPECT_EQ(row["share_rate"], share_rate);
+  };
+
+  std::vector<std::string> out = Converse(
+      &store, &service,
+      {"LOAD bib " + xml_path, "QUERY bib //paper/author"});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].rfind("OK dag=", 0), 0u) << out[1];
+  expect_ledger("query", "1", "0", "0");
+
+  out = Converse(&store, &service,
+                 {"BATCH bib 2", "//paper[author]", "//book[author]"});
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], "OK 2");
+  expect_ledger("shared batch", "3", "1", "1");
+
+  out = Converse(&store, &service, {"QUERY bib //["});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].rfind("ERR ParseError", 0), 0u) << out[0];
+  expect_ledger("failed query", "3", "1", "1");
+
+  out = Converse(&store, &service,
+                 {"EVICT bib", "QUERY bib //book/author"});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], "OK evicted bib");
+  EXPECT_EQ(out[1].rfind("OK dag=", 0), 0u) << out[1];
+  EXPECT_EQ(store.spill_reads(), 1u) << "the QUERY must fault bib back in";
+  expect_ledger("evict + fault-in", "4", "1", "1");
+
+  out = Converse(&store, &service,
+                 {"LOAD bib " + xml_path, "QUERY bib //paper"});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].rfind("OK loaded bib", 0), 0u) << out[0];
+  expect_ledger("re-LOAD", "5", "1", "1");
+  std::remove(xml_path.c_str());
 }
 
 TEST(ProtocolTest, TraceSinkCapturesOneJsonLinePerQuery) {

@@ -1,6 +1,11 @@
 #include "test_util.h"
 
+#include <condition_variable>
 #include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <thread>
 
 namespace xcq::testing {
 
@@ -212,6 +217,61 @@ std::string RandomQueryText(Rng& rng, int tag_count) {
                      &out);
   }
   return out;
+}
+
+std::vector<std::string> Converse(server::DocumentStore* store,
+                                  server::QueryService* service,
+                                  const std::vector<std::string>& input,
+                                  server::HandlerOptions options) {
+  // Replies arrive on worker threads. The state is shared with the
+  // sink, so a completion that is still unwinding after the last reply
+  // never touches a dead stack frame.
+  struct Replies {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<uint64_t, std::string> by_seq;
+  };
+  auto replies = std::make_shared<Replies>();
+  auto handler = std::make_shared<server::PipelinedHandler>(
+      store, service,
+      [replies](uint64_t seq, std::string bytes, bool /*close_after*/) {
+        std::lock_guard<std::mutex> lock(replies->mu);
+        replies->by_seq.emplace(seq, std::move(bytes));
+        replies->cv.notify_all();
+      },
+      server::PipelinedHandler::Limits{}, server::PipelinedHandler::Hooks{},
+      options);
+  const auto await_owed = [&] {
+    std::unique_lock<std::mutex> lock(replies->mu);
+    replies->cv.wait(lock, [&] {
+      return replies->by_seq.size() >= handler->dispatched();
+    });
+  };
+  using FeedResult = server::PipelinedHandler::FeedResult;
+  for (const std::string& line : input) {
+    await_owed();
+    FeedResult result = handler->Feed(line);
+    while (result == FeedResult::kStalled) {  // queue full: wait, retry
+      await_owed();
+      std::this_thread::yield();
+      result = handler->ResumeDeferred();
+    }
+    if (result == FeedResult::kClose) break;
+  }
+  handler->OnInputClosed();
+  await_owed();
+
+  std::vector<std::string> output;
+  std::lock_guard<std::mutex> lock(replies->mu);
+  for (const auto& [seq, bytes] : replies->by_seq) {
+    size_t begin = 0;
+    while (begin < bytes.size()) {
+      const size_t end = bytes.find('\n', begin);
+      output.push_back(bytes.substr(begin, end - begin));
+      begin = end + 1;
+    }
+  }
+  return output;
 }
 
 }  // namespace xcq::testing

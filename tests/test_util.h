@@ -68,6 +68,19 @@ std::string RandomXml(uint64_t seed, size_t max_nodes, int tag_count);
 /// the differential fuzzer.
 std::string RandomQueryText(Rng& rng, int tag_count);
 
+/// Runs one scripted conversation through `server::PipelinedHandler`
+/// with an in-memory reply sink — the whole daemon minus sockets — and
+/// returns the reply lines in request order (replies are reassembled by
+/// sequence number). The next input line is fed only once every reply
+/// already owed has arrived, so a LOAD or EVICT never runs at the same
+/// time as the request after it. Input stops at the first line that
+/// ends the conversation (QUIT); end of input is signalled with
+/// `OnInputClosed()`.
+std::vector<std::string> Converse(server::DocumentStore* store,
+                                  server::QueryService* service,
+                                  const std::vector<std::string>& input,
+                                  server::HandlerOptions options = {});
+
 }  // namespace xcq::testing
 
 #endif  // XCQ_TESTS_TEST_UTIL_H_
