@@ -9,18 +9,26 @@
 //   * sweep_visited / sweep_full: vertices the pruned run visited vs
 //     what the full sweeps would have visited (the pruning headline),
 //   * summary_nodes:       distinct root-to-label paths of the corpus,
-//   * selected_tree, splits: the answer shape (identical by contract).
+//   * selected_tree, splits: the answer shape (identical by contract),
+//   * warm_prune_binds / warm_pruned_s (split-free rows only): the same
+//     plan re-evaluated kWarmReps times on the instance the pruned run
+//     left behind — full pruner binds summed over those runs (0: every
+//     gate comes from the instance's gate memo) and their median time.
 //
 // Self-checks (non-zero exit on violation):
 //   * pruned and full runs must agree on splits, post-evaluation
 //     structure, and the exact selected tree-node set (answers are
 //     compared through decompression, which is numbering-independent);
+//   * warm re-evaluations must bind nothing, split nothing, and select
+//     exactly the bits of the first pruned run;
 //   * TreeBank recursive-descent rows must visit < 50% of what the
 //     full sweeps would — the regression gate for the whole subsystem
 //     (the checked-in baseline additionally exact-matches the
 //     counters).
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "bench_util.h"
 #include "xcq/util/timer.h"
@@ -70,12 +78,20 @@ constexpr CorpusQueries kWorkload[] = {
      }},
 };
 
+// Warm re-evaluations per split-free pruned row.
+constexpr int kWarmReps = 5;
+
 struct RunResult {
   double seconds = 0.0;
   engine::EvalStats stats;
   uint64_t selected_tree = 0;
   uint64_t reachable_vertices = 0;
   DynamicBitset tree_set;  // selected tree nodes, document order
+  // Warm re-evaluation (pruned, split-free runs only).
+  bool warm = false;
+  bool warm_diverged = false;
+  uint64_t warm_prune_binds = 0;  // summed over kWarmReps runs
+  double warm_seconds = 0.0;      // median
 };
 
 RunResult RunOnce(const Instance& base, const algebra::QueryPlan& plan,
@@ -93,6 +109,26 @@ RunResult RunOnce(const Instance& base, const algebra::QueryPlan& plan,
   const DecompressedTree tree =
       Unwrap(Decompress(instance), "decompress");
   out.tree_set = tree.RelationSet(instance.schema().Name(result));
+
+  if (prune && out.stats.splits == 0) {
+    // The serving case: the same plan again on the unchanged instance.
+    const DynamicBitset first = instance.RelationBits(result);
+    std::vector<double> times;
+    for (int rep = 0; rep < kWarmReps; ++rep) {
+      engine::EvalStats warm;
+      Timer warm_timer;
+      const RelationId again = Unwrap(
+          engine::Evaluate(&instance, plan, options, &warm), "evaluate");
+      times.push_back(warm_timer.Seconds());
+      out.warm_prune_binds += warm.prune_binds;
+      if (warm.splits != 0 || instance.RelationBits(again) != first) {
+        out.warm_diverged = true;
+      }
+    }
+    std::sort(times.begin(), times.end());
+    out.warm = true;
+    out.warm_seconds = times[times.size() / 2];
+  }
   return out;
 }
 
@@ -104,9 +140,9 @@ int Main(int argc, char** argv) {
   bool failed = false;
 
   std::printf(
-      "%-12s %-9s %-45s %10s %10s %7s %9s %9s\n", "corpus", "family",
-      "query", "visited", "full", "ratio", "pruned_s", "full_s");
-  PrintRule(116);
+      "%-12s %-9s %-45s %10s %10s %7s %9s %9s %9s\n", "corpus", "family",
+      "query", "visited", "full", "ratio", "pruned_s", "full_s", "warm_s");
+  PrintRule(126);
 
   for (const CorpusQueries& workload : kWorkload) {
     const corpus::CorpusGenerator* generator =
@@ -141,6 +177,17 @@ int Main(int argc, char** argv) {
         failed = true;
       }
 
+      if (pruned.warm &&
+          (pruned.warm_diverged || pruned.warm_prune_binds != 0)) {
+        std::fprintf(stderr,
+                     "FATAL %s %s: warm re-evaluation re-bound (%llu "
+                     "binds) or diverged from the first pruned run\n",
+                     workload.corpus, query.text,
+                     static_cast<unsigned long long>(
+                         pruned.warm_prune_binds));
+        failed = true;
+      }
+
       const double ratio =
           pruned.stats.sweep_full == 0
               ? 0.0
@@ -157,14 +204,20 @@ int Main(int argc, char** argv) {
         failed = true;
       }
 
-      std::printf("%-12s %-9s %-45s %10llu %10llu %6.1f%% %9.4f %9.4f\n",
+      std::printf("%-12s %-9s %-45s %10llu %10llu %6.1f%% %9.4f %9.4f",
                   workload.corpus, query.family, query.text,
                   static_cast<unsigned long long>(
                       pruned.stats.sweep_visited),
                   static_cast<unsigned long long>(pruned.stats.sweep_full),
                   100.0 * ratio, pruned.seconds, full.seconds);
+      if (pruned.warm) {
+        std::printf(" %9.4f\n", pruned.warm_seconds);
+      } else {
+        std::printf(" %9s\n", "-");
+      }
 
-      report.Row()
+      BenchReport& row = report.Row();
+      row
           .Set("corpus", workload.corpus)
           .Set("family", query.family)
           .Set("query", query.text)
@@ -177,6 +230,10 @@ int Main(int argc, char** argv) {
           .Set("splits", pruned.stats.splits)
           .Set("pruned_s", pruned.seconds)
           .Set("full_s", full.seconds);
+      if (pruned.warm) {
+        row.Set("warm_prune_binds", pruned.warm_prune_binds)
+            .Set("warm_pruned_s", pruned.warm_seconds);
+      }
     }
   }
   report.Finish();

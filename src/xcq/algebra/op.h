@@ -39,6 +39,8 @@ struct Op {
   std::string relation;                   ///< kRelation only.
   int32_t input0 = -1;
   int32_t input1 = -1;
+
+  bool operator==(const Op&) const = default;
 };
 
 /// \brief A compiled query: ops in evaluation order; the last op's node

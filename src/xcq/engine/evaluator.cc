@@ -42,8 +42,9 @@ class PlanRunner {
     // summary (a full-DAG walk), so a dead request skips it entirely.
     XCQ_RETURN_IF_ERROR(guard_.Poll());
     if (options_.prune_sweeps) {
-      // Binding is lazy (first gate, and again after a schema change);
-      // the pruner charges it to prune_bind_seconds itself.
+      // Binding is lazy (first gate the instance's gate memo cannot
+      // serve, and again after a schema change); the pruner charges it
+      // to prune_bind_seconds itself.
       pruner_.emplace(instance_, &plan, &options_,
                       stats_ != nullptr ? &stats_->prune_bind_seconds
                                         : nullptr);
@@ -81,10 +82,15 @@ class PlanRunner {
     return result;
   }
 
-  /// Path-summary size at the pruner's last binding (0 = pruning off
-  /// or unavailable).
+  /// Path-summary size behind the pruner's gates, memoized or bound
+  /// (0 = pruning off or unavailable).
   uint64_t summary_nodes() const {
     return pruner_.has_value() ? pruner_->summary_nodes() : 0;
+  }
+
+  /// Full pruner (re)binds (0 = every gate memoized, or pruning off).
+  uint64_t prune_binds() const {
+    return pruner_.has_value() ? pruner_->binds() : 0;
   }
 
  private:
@@ -397,6 +403,7 @@ Result<RelationId> Evaluate(Instance* instance,
   if (stats != nullptr) {
     ReachableSizes(*instance, &stats->vertices_after, &stats->edges_after);
     stats->summary_nodes = runner.summary_nodes();
+    stats->prune_binds = runner.prune_binds();
     stats->summary_builds =
         instance->path_summary_builds() - summary_builds_before;
     stats->seconds = timer.Seconds();

@@ -106,6 +106,9 @@ struct EvalStats {
   uint64_t skipped_sweeps = 0;   ///< Sweeps skipped outright (∅ region).
   uint64_t summary_nodes = 0;    ///< Path-summary size used (0 = none).
   uint64_t summary_builds = 0;   ///< Summary (re)builds this evaluation.
+  /// Pruner (re)binds this evaluation: 1 on a plan's first run over a
+  /// summary, 0 once its gates are memoized (docs/INTERNALS.md §9.6).
+  uint64_t prune_binds = 0;
   /// Per-family counter slices, indexed by AxisFamily; inline array so
   /// collecting stats still allocates nothing on the hot path.
   AxisFamilyStats axis[kAxisFamilyCount];

@@ -1,6 +1,7 @@
 #include "xcq/engine/prune.h"
 
 #include <algorithm>
+#include <cassert>
 #include <string_view>
 
 #include "xcq/util/timer.h"
@@ -69,11 +70,17 @@ SweepKind SweepKindFor(Axis axis) {
 // --- SummaryRegions --------------------------------------------------------
 
 void SummaryRegions::Bind(const Instance& instance) {
+  Bind(instance, instance.EnsurePathSummary(), instance.vertex_count());
+}
+
+void SummaryRegions::Bind(const Instance& instance,
+                          const PathSummary& summary,
+                          size_t bound_vertices) {
   instance_ = &instance;
-  summary_ = &instance.EnsurePathSummary();
-  active_ = !summary_->saturated && !summary_->nodes.empty() &&
-            instance.vertex_count() > 0;
-  bound_vertices_ = active_ ? instance.vertex_count() : 0;
+  summary_ = &summary;
+  active_ = !summary.saturated && !summary.nodes.empty() &&
+            bound_vertices > 0;
+  bound_vertices_ = active_ ? bound_vertices : 0;
 }
 
 void SummaryRegions::CollectRealized(const DynamicBitset& base) {
@@ -200,15 +207,18 @@ void PlanAbstract::Compute(const Instance& instance,
     DynamicBitset& out = op_sets_[i];
     switch (op.kind) {
       case OpKind::kRelation: {
-        const RelationId r = instance.FindRelation(op.relation);
-        if (r == kNoRelation) break;  // empty selection
         if (IsReserved(op.relation)) {
           // Reserved columns (results, kept temporaries) are written by
           // queries, not by compression — their bits are not part of
-          // the label alphabet, so admit every path.
+          // the label alphabet, so admit every path. Whether the column
+          // exists yet is not consulted either: it changes without a
+          // label-schema change, and memoized gates must not depend on
+          // it.
           out.SetAll();
           break;
         }
+        const RelationId r = instance.FindRelation(op.relation);
+        if (r == kNoRelation) break;  // empty selection
         // Admit the paths ending in a label that contains r.
         std::vector<uint8_t> has(summary.labels.size(), 0);
         for (size_t l = 0; l < summary.labels.size(); ++l) {
@@ -326,6 +336,20 @@ PlanPruner::PlanPruner(Instance* instance, const algebra::QueryPlan* plan,
       options_(options),
       bind_seconds_(bind_seconds) {}
 
+void PlanPruner::Attach() {
+  attached_ = true;
+  hash_ = GateMemo::Hash(plan_->ops, options_->context_relation);
+  // Only a current summary's memo is trustworthy; on a stale one the
+  // bind rebuilds the summary, which clears the memo anyway.
+  if (!instance_->path_summary_valid()) return;
+  entry_ = instance_->gate_memo().Find(hash_, plan_->ops,
+                                       options_->context_relation);
+  if (entry_ == nullptr) return;
+  summary_ = &instance_->EnsurePathSummary();  // valid: a pure read
+  summary_vertices_ = instance_->vertex_count();
+  summary_fingerprint_ = summary_->schema_fingerprint;
+}
+
 bool PlanPruner::Sync() {
   const uint64_t generation = instance_->structure_generation();
   const uint64_t fingerprint = instance_->LabelSchemaFingerprint();
@@ -343,33 +367,38 @@ bool PlanPruner::Sync() {
     // from the stale summary therefore remain sound once Realize
     // admits every post-bind vertex unconditionally — so keep the
     // binding instead of paying a full summary rebuild per split.
-    ++resyncs_;
     bound_generation_ = generation;
     return regions_.active();
   }
   ScopedTimer bind_timer(bind_seconds_);
-  regions_.Bind(*instance_);
+  ++binds_;
+  if (!bound_ && entry_ != nullptr && fingerprint == summary_fingerprint_ &&
+      instance_->vertex_count() >= summary_vertices_) {
+    // The memo was attached on a current summary, and its gates may
+    // have carried the plan across splits since: bind to that summary,
+    // as a pruner bound at the first gate would ride it, instead of
+    // rebuilding it (a rebuild would also clear the memo).
+    regions_.Bind(*instance_, *summary_, summary_vertices_);
+  } else {
+    entry_ = nullptr;  // a rebuild clears the memo
+    regions_.Bind(*instance_);
+    summary_ = &regions_.summary();
+  }
   if (regions_.active()) {
     abstract_.Compute(*instance_, regions_.summary(), *plan_, *options_);
   }
-  if (bound_) ++resyncs_;
   bound_ = true;
-  bound_generation_ = instance_->structure_generation();
-  bound_fingerprint_ = instance_->LabelSchemaFingerprint();
+  bound_generation_ = generation;
+  bound_fingerprint_ = fingerprint;
   return regions_.active();
 }
 
-PruneGate PlanPruner::AxisGate(size_t op_index) {
-  if (!Sync()) return PruneGate{};
+PruneGate PlanPruner::Compute(size_t op_index, int stage) {
   const Op& op = plan_->ops[op_index];
-  return regions_.Gate(SweepKindFor(op.axis),
-                       abstract_.OpSet(op.input0),
-                       abstract_.OpSet(op_index));
-}
-
-PruneGate PlanPruner::StageGate(size_t op_index, int stage) {
-  if (!Sync()) return PruneGate{};
-  const Op& op = plan_->ops[op_index];
+  if (stage < 0) {
+    return regions_.Gate(SweepKindFor(op.axis), abstract_.OpSet(op.input0),
+                         abstract_.OpSet(op_index));
+  }
   const DynamicBitset& src = stage == 0
                                  ? abstract_.OpSet(op.input0)
                                  : abstract_.StageSet(op_index, stage - 1);
@@ -378,6 +407,58 @@ PruneGate PlanPruner::StageGate(size_t op_index, int stage) {
                          : stage == 1 ? SweepKind::kSibling
                                       : SweepKind::kDownward;
   return regions_.Gate(kind, src, dst);
+}
+
+PruneGate PlanPruner::FromMemo(const GateMemo::Gate& stored) {
+  PruneGate gate;
+  gate.skip = stored.skip;
+  gate.region_vertices = stored.region_vertices;
+  if (stored.region.empty()) return gate;
+  const size_t n = instance_->vertex_count();
+  assert(n >= stored.region.size());
+  if (n == stored.region.size()) {
+    gate.region = &stored.region;
+    return gate;
+  }
+  grown_ = stored.region;
+  grown_.Resize(n, true);
+  gate.region = &grown_;
+  gate.region_vertices += n - stored.region.size();
+  return gate;
+}
+
+PruneGate PlanPruner::Issue(size_t op_index, int stage) {
+  if (!attached_) Attach();
+  const auto slot = static_cast<uint32_t>(op_index * GateMemo::kSlotsPerOp +
+                                          static_cast<size_t>(
+                                              std::max(stage, 0)));
+  if (entry_ != nullptr) {
+    if (const GateMemo::Gate* stored = entry_->FindGate(slot)) {
+      return FromMemo(*stored);
+    }
+  }
+  const bool active = Sync();
+  const PruneGate gate = active ? Compute(op_index, stage) : PruneGate{};
+  // Store only while the binding is the current summary with no split
+  // since: then the region is exact and sized to the bind-time vertex
+  // count. Like a summary build, this write needs exclusive access to
+  // the instance (Instance::gate_memo).
+  if (instance_->path_summary_valid()) {
+    if (entry_ == nullptr) {
+      GateMemo& memo = instance_->gate_memo();
+      entry_ = memo.Find(hash_, plan_->ops, options_->context_relation);
+      if (entry_ == nullptr) {
+        entry_ = memo.Insert(hash_, plan_->ops, options_->context_relation,
+                             active);
+      }
+    }
+    GateMemo::Gate& stored = entry_->gates.emplace_back();
+    stored.slot = slot;
+    stored.skip = gate.skip;
+    stored.region_vertices = gate.region_vertices;
+    if (gate.region != nullptr) stored.region = *gate.region;
+  }
+  return gate;
 }
 
 }  // namespace xcq::engine

@@ -54,8 +54,8 @@ struct PruneGate {
   /// destination column stays all-zero, exactly the unpruned result).
   bool skip = false;
   /// Vertex region to restrict the kernel to; null = sweep everything
-  /// (pruning unavailable). Borrowed from the issuing pruner and valid
-  /// until its next Gate call.
+  /// (pruning unavailable). Borrowed from the issuing pruner or the
+  /// instance's gate memo, and valid until the pruner's next gate.
   const DynamicBitset* region = nullptr;
   /// Number of vertices in `region` (0 when null or skipped).
   uint64_t region_vertices = 0;
@@ -72,6 +72,11 @@ class SummaryRegions {
   /// Binds to `instance.EnsurePathSummary()` (building it if needed).
   /// Inactive when the summary is saturated or the instance is empty.
   void Bind(const Instance& instance);
+  /// Binds to `summary` as built over the first `bound_vertices`
+  /// vertices, even if splits have made it stale since: the same ride
+  /// as a binding that outlives mid-plan splits.
+  void Bind(const Instance& instance, const PathSummary& summary,
+            size_t bound_vertices);
 
   bool active() const { return active_; }
   const PathSummary& summary() const { return *summary_; }
@@ -129,6 +134,12 @@ class PlanAbstract {
 /// vertices never gain incoming edges), so the pruner rides out the
 /// drift instead of rebuilding the summary per split; only a label
 /// schema change or vertex renumbering forces a re-bind.
+///
+/// Gates are served from the instance's GateMemo first: a plan seen on
+/// the current summary gets its stored gates without binding, computing
+/// abstract sets, or scanning realizations — and without allocating.
+/// A gate computed on a miss is stored only while the instance is still
+/// at the summary's generation (no split since the bind).
 class PlanPruner {
  public:
   /// `bind_seconds` (nullable) accumulates the time spent (re)binding:
@@ -136,29 +147,42 @@ class PlanPruner {
   PlanPruner(Instance* instance, const algebra::QueryPlan* plan,
              const EvalOptions* options, double* bind_seconds = nullptr);
 
-  /// Re-binds if the instance's summary went stale, charging the bind
-  /// to `bind_seconds`. Returns active().
-  bool Sync();
-
   /// Pruning is available (summary built, not saturated).
-  bool active() const { return regions_.active(); }
-
-  /// Gate for the single sweep of a plain-axis op (Syncs first).
-  PruneGate AxisGate(size_t op_index);
-
-  /// Gate for stage 0/1/2 of a composed kFollowing/kPreceding op:
-  /// ancestor-or-self, sibling, descendant-or-self (Syncs first).
-  PruneGate StageGate(size_t op_index, int stage);
-
-  /// Summary nodes at the current binding (0 while inactive).
-  uint64_t summary_nodes() const {
-    return regions_.active() ? regions_.summary().nodes.size() : 0;
+  bool active() const {
+    return entry_ != nullptr ? entry_->active : regions_.active();
   }
 
-  /// Generation drifts absorbed (stale rides + forced re-binds).
-  uint64_t resyncs() const { return resyncs_; }
+  /// Gate for the single sweep of a plain-axis op.
+  PruneGate AxisGate(size_t op_index) { return Issue(op_index, -1); }
+
+  /// Gate for stage 0/1/2 of a composed kFollowing/kPreceding op:
+  /// ancestor-or-self, sibling, descendant-or-self.
+  PruneGate StageGate(size_t op_index, int stage) {
+    return Issue(op_index, stage);
+  }
+
+  /// Summary nodes behind the issued gates (0 while inactive).
+  uint64_t summary_nodes() const {
+    return active() ? summary_->nodes.size() : 0;
+  }
+
+  /// Full (re)binds so far: summary bind plus abstract interpretation.
+  /// 0 when every gate came from the memo.
+  uint64_t binds() const { return binds_; }
 
  private:
+  /// Memo lookup, else Sync + compute (+ store while still exact).
+  PruneGate Issue(size_t op_index, int stage);
+  /// Looks the plan up in the memo (first gate only).
+  void Attach();
+  /// Re-binds if the instance's summary went stale, charging the bind
+  /// to `bind_seconds`. Returns regions_.active().
+  bool Sync();
+  PruneGate Compute(size_t op_index, int stage);
+  /// The stored gate as a PruneGate; post-bind clones (a split since the
+  /// memo's generation) are admitted unconditionally, as Realize does.
+  PruneGate FromMemo(const GateMemo::Gate& stored);
+
   Instance* instance_;
   const algebra::QueryPlan* plan_;
   const EvalOptions* options_;
@@ -168,7 +192,19 @@ class PlanPruner {
   uint64_t bound_generation_ = 0;
   uint64_t bound_fingerprint_ = 0;
   bool bound_ = false;
-  uint64_t resyncs_ = 0;
+  uint64_t binds_ = 0;
+
+  bool attached_ = false;
+  uint64_t hash_ = 0;  ///< GateMemo::Hash of this plan's key.
+  /// This plan's memo entry; null until found or first stored.
+  GateMemo::Entry* entry_ = nullptr;
+  /// Summary behind active gates (the memo's at Attach, else the bound
+  /// one), with its vertex count and label fingerprint.
+  const PathSummary* summary_ = nullptr;
+  size_t summary_vertices_ = 0;
+  uint64_t summary_fingerprint_ = 0;
+  /// A stored region grown over post-bind clones (mid-plan splits).
+  DynamicBitset grown_;
 };
 
 }  // namespace xcq::engine

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "xcq/algebra/op.h"
 #include "xcq/instance/schema.h"
 #include "xcq/util/bitset.h"
 #include "xcq/util/result.h"
@@ -165,7 +166,8 @@ struct PathSummary {
   /// Distinct root-to-label paths beyond this stop paying for
   /// themselves (region construction scans realizations linearly).
   /// Sized for the worst corpus: TreeBank's deep recursive nesting
-  /// yields ~385k distinct paths at the benchmark scale — an order of
+  /// yields 446,699 distinct paths over 106,331 DAG vertices (490,120
+  /// realizations) on the warm seed-42 serving document — an order of
   /// magnitude more than every other corpus combined, and the corpus
   /// where pruning matters most.
   static constexpr size_t kMaxNodes = size_t{1} << 20;
@@ -205,6 +207,78 @@ struct PathSummary {
     }
     return bytes;
   }
+};
+
+/// \brief Memoized prune gates per plan, owned by `Instance` with the
+/// lifetime of its path summary (docs/INTERNALS.md §9.6).
+///
+/// A gate (the skip verdict and vertex region of one sweep, see
+/// engine/prune.h) is a pure function of the summary, the plan, and the
+/// named context — so a serving loop that repeats plans on an unchanged
+/// structure recomputes the same gates. The memo keeps them: entries
+/// are keyed by the plan's ops and `context_relation`, compared for
+/// exact equality (the hash only picks the candidate), and hold only
+/// the gate results, never the plan's abstract node sets. Every summary
+/// rebuild clears the memo, and the engine reads it only while
+/// `Instance::path_summary_valid()`; gates are stored only at that
+/// generation, so a region is always sized to the bind-time vertex
+/// count. At most `kMaxPlans` plans are kept; inserting beyond that
+/// evicts the oldest.
+struct GateMemo {
+  static constexpr size_t kMaxPlans = 64;
+  /// Gate slots per op: a plain axis op's sweep is slot 0, a composed
+  /// following/preceding op's three staged sweeps are slots 0..2.
+  static constexpr size_t kSlotsPerOp = 3;
+
+  struct Gate {
+    uint32_t slot = 0;  ///< op index * kSlotsPerOp + stage slot
+    bool skip = false;
+    uint64_t region_vertices = 0;
+    /// Empty = sweep everything; else sized to the bind-time vertex
+    /// count.
+    DynamicBitset region;
+  };
+
+  struct Entry {
+    uint64_t hash = 0;
+    std::vector<algebra::Op> ops;
+    std::string context_relation;
+    /// Pruning was available at the bind (summary built, not saturated).
+    bool active = false;
+    /// The gates stored so far, in store order (a handful per plan).
+    std::vector<Gate> gates;
+
+    const Gate* FindGate(uint32_t slot) const {
+      for (const Gate& gate : gates) {
+        if (gate.slot == slot) return &gate;
+      }
+      return nullptr;
+    }
+  };
+
+  std::vector<Entry> entries;
+  size_t next_victim = 0;  ///< Oldest entry once the memo is full.
+
+  /// Bucket hash of a key; allocates nothing.
+  static uint64_t Hash(const std::vector<algebra::Op>& ops,
+                       std::string_view context_relation);
+
+  /// The entry whose key equals (ops, context_relation), or null.
+  Entry* Find(uint64_t hash, const std::vector<algebra::Op>& ops,
+              std::string_view context_relation);
+
+  /// Adds an empty entry for a key not present (evicting the oldest
+  /// entry when full). Invalidates pointers to other entries.
+  Entry* Insert(uint64_t hash, const std::vector<algebra::Op>& ops,
+                std::string_view context_relation, bool active);
+
+  void Clear() {
+    entries.clear();
+    next_victim = 0;
+  }
+
+  /// Heap footprint in bytes (counted by Instance::MemoryFootprint).
+  size_t MemoryFootprint() const;
 };
 
 /// \brief Counters for the resident scratch-relation pool (per-op query
@@ -382,6 +456,14 @@ class Instance {
   /// the schema half of the path-summary validity check.
   uint64_t LabelSchemaFingerprint() const;
 
+  /// The prune-gate memo (see GateMemo), cleared by every summary
+  /// rebuild and meaningful only while path_summary_valid(). The
+  /// engine's pruner fills it during evaluation, so like a summary
+  /// (re)build a memo write requires exclusive access to the instance:
+  /// a shared-lock read path must treat both caches alike.
+  GateMemo& gate_memo() { return gate_memo_; }
+  const GateMemo& gate_memo() const { return gate_memo_; }
+
   /// Reachable vertices, parents before children (reverse DFS
   /// post-order). Served from the traversal cache (copied).
   std::vector<VertexId> TopologicalOrder() const;
@@ -493,6 +575,8 @@ class Instance {
   mutable uint64_t traversal_builds_ = 0;
   mutable PathSummary path_summary_;
   mutable uint64_t path_summary_builds_ = 0;
+  /// Cleared together with path_summary_ (hence mutable).
+  mutable GateMemo gate_memo_;
 
   bool track_dirty_ = false;
   /// Parallel to spans_ (grown lazily): 1 for vertices in dirty_list_.

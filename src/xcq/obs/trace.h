@@ -91,6 +91,8 @@ class QueryTrace {
   /// Records a fully-formed span directly — for phases timed elsewhere
   /// (e.g. the engine reports prune-bind seconds in EvalStats) where a
   /// Scope cannot wrap the code. `start` is an offset from the origin.
+  /// The span takes the current depth: call it while the enclosing
+  /// Scope is still open to nest it under that scope.
   void AddSpan(Phase phase, double start_seconds, double duration_seconds);
 
   size_t span_count() const { return count_; }

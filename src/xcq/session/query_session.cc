@@ -211,15 +211,16 @@ Result<QueryOutcome> QuerySession::EvaluatePlan(
         const RelationId sweep_result,
         engine::Evaluate(&*instance_, plan, eval_options, &outcome.stats));
     result = sweep_result;
-  }
-  if (trace != nullptr && outcome.stats.prune_bind_seconds > 0.0) {
-    // The engine times pruner binding itself (it happens mid-Evaluate,
-    // inside the sweep span); book it as a nested span whose start is
-    // reconstructed from the evaluation total.
-    const double eval_start =
-        std::max(0.0, trace->Elapsed() - outcome.stats.seconds);
-    trace->AddSpan(obs::Phase::kPruneBind, eval_start,
-                   outcome.stats.prune_bind_seconds);
+    if (trace != nullptr && outcome.stats.prune_bind_seconds > 0.0) {
+      // The engine times pruner binding itself (it happens
+      // mid-Evaluate); book it while the sweep span is still open, so
+      // it nests at depth 1 inside it, with its start reconstructed
+      // from the evaluation total.
+      const double eval_start =
+          std::max(0.0, trace->Elapsed() - outcome.stats.seconds);
+      trace->AddSpan(obs::Phase::kPruneBind, eval_start,
+                     outcome.stats.prune_bind_seconds);
+    }
   }
   outcome.selected_dag_nodes = SelectedDagNodeCount(*instance_, result);
   outcome.selected_tree_nodes = SelectedTreeNodeCount(*instance_, result);

@@ -44,14 +44,6 @@ using server::DocumentStore;
 using server::StoreOptions;
 using server::StoredDocument;
 
-/// A fresh empty data dir under the gtest temp root.
-std::string FreshDataDir(const std::string& tag) {
-  std::string tmpl = ::testing::TempDir() + "/xcq_dur_" + tag + "_XXXXXX";
-  const char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return tmpl;
-}
-
 StoreOptions DurableOptions(const std::string& data_dir) {
   StoreOptions options;
   options.data_dir = data_dir;
@@ -142,7 +134,8 @@ std::map<std::string, std::pair<std::string, uint64_t>> SeedCorpus(
 }
 
 TEST(DurabilityTest, WarmRestartAnswersIdenticallyWithZeroReparses) {
-  const std::string dir = FreshDataDir("restart");
+  const testing::ScopedTempDir temp_dir("xcq_dur_restart");
+  const std::string& dir = temp_dir.path();
   std::map<std::string, std::pair<std::string, uint64_t>> expected;
   {
     DocumentStore store(DurableOptions(dir));
@@ -175,8 +168,9 @@ TEST(DurabilityTest, RestartPropertyLoopOverRandomCorpora) {
   // loads, every answer must survive a hard stop bit-identically.
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE(seed);
-    const std::string dir =
-        FreshDataDir("prop" + std::to_string(seed));
+    const testing::ScopedTempDir temp_dir("xcq_dur_prop" +
+                                          std::to_string(seed));
+    const std::string& dir = temp_dir.path();
     std::map<std::string, std::pair<std::string, uint64_t>> expected;
     {
       DocumentStore store(DurableOptions(dir));
@@ -213,7 +207,8 @@ TEST(DurabilityTest, RestartPropertyLoopOverRandomCorpora) {
 }
 
 TEST(DurabilityTest, TruncatedManifestLineSkipsOnlyThatDocument) {
-  const std::string dir = FreshDataDir("tornline");
+  const testing::ScopedTempDir temp_dir("xcq_dur_tornline");
+  const std::string& dir = temp_dir.path();
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
@@ -251,7 +246,8 @@ TEST(DurabilityTest, TruncatedManifestLineSkipsOnlyThatDocument) {
 }
 
 TEST(DurabilityTest, FlippedSpillByteIsIsolatedColdMiss) {
-  const std::string dir = FreshDataDir("crcflip");
+  const testing::ScopedTempDir temp_dir("xcq_dur_crcflip");
+  const std::string& dir = temp_dir.path();
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
@@ -292,7 +288,8 @@ TEST(DurabilityTest, FlippedSpillByteIsIsolatedColdMiss) {
 }
 
 TEST(DurabilityTest, MissingSpillFileIsIsolatedColdMiss) {
-  const std::string dir = FreshDataDir("missing");
+  const testing::ScopedTempDir temp_dir("xcq_dur_missing");
+  const std::string& dir = temp_dir.path();
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
@@ -315,7 +312,8 @@ TEST(DurabilityTest, MissingSpillFileIsIsolatedColdMiss) {
 }
 
 TEST(DurabilityTest, TransientReadFailureKeepsWarmEntryAndRetries) {
-  const std::string dir = FreshDataDir("transient");
+  const testing::ScopedTempDir temp_dir("xcq_dur_transient");
+  const std::string& dir = temp_dir.path();
   uint64_t want = 0;
   {
     DocumentStore store(DurableOptions(dir));
@@ -355,7 +353,8 @@ TEST(DurabilityTest, TransientReadFailureKeepsWarmEntryAndRetries) {
 }
 
 TEST(DurabilityTest, ZeroByteSpillIsIsolatedColdMiss) {
-  const std::string dir = FreshDataDir("zerobyte");
+  const testing::ScopedTempDir temp_dir("xcq_dur_zerobyte");
+  const std::string& dir = temp_dir.path();
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
@@ -376,7 +375,8 @@ TEST(DurabilityTest, ZeroByteSpillIsIsolatedColdMiss) {
 }
 
 TEST(DurabilityTest, OverflowedManifestNumberIsRejectedNotWrapped) {
-  const std::string dir = FreshDataDir("overflow");
+  const testing::ScopedTempDir temp_dir("xcq_dur_overflow");
+  const std::string& dir = temp_dir.path();
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
@@ -421,7 +421,8 @@ TEST(DurabilityTest, OverflowedManifestNumberIsRejectedNotWrapped) {
 }
 
 TEST(DurabilityTest, DuplicateManifestEntriesLastOneWins) {
-  const std::string dir = FreshDataDir("dupes");
+  const testing::ScopedTempDir temp_dir("xcq_dur_dupes");
+  const std::string& dir = temp_dir.path();
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
@@ -447,7 +448,8 @@ TEST(DurabilityTest, DuplicateManifestEntriesLastOneWins) {
 }
 
 TEST(DurabilityTest, StrayTmpArtifactsAreCleanedUp) {
-  const std::string dir = FreshDataDir("tmpjunk");
+  const testing::ScopedTempDir temp_dir("xcq_dur_tmpjunk");
+  const std::string& dir = temp_dir.path();
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
@@ -468,7 +470,8 @@ TEST(DurabilityTest, StrayTmpArtifactsAreCleanedUp) {
 }
 
 TEST(DurabilityTest, CorruptManifestHeaderDisablesCleanupNotServing) {
-  const std::string dir = FreshDataDir("badheader");
+  const testing::ScopedTempDir temp_dir("xcq_dur_badheader");
+  const std::string& dir = temp_dir.path();
   {
     DocumentStore store(DurableOptions(dir));
     SeedCorpus(&store);
@@ -488,7 +491,8 @@ TEST(DurabilityTest, CorruptManifestHeaderDisablesCleanupNotServing) {
 }
 
 TEST(DurabilityTest, ConcurrentAcquireIsSingleFlight) {
-  const std::string dir = FreshDataDir("singleflight");
+  const testing::ScopedTempDir temp_dir("xcq_dur_singleflight");
+  const std::string& dir = temp_dir.path();
   uint64_t want = 0;
   {
     DocumentStore store(DurableOptions(dir));
@@ -526,7 +530,8 @@ TEST(DurabilityTest, ConcurrentRespillAndFaultInNeverLoseTheDocument) {
   // to read it. The reader must retry against the fresh record — the
   // document must never degrade to cold, and its durable copy must
   // survive the churn.
-  const std::string dir = FreshDataDir("respillrace");
+  const testing::ScopedTempDir temp_dir("xcq_dur_respillrace");
+  const std::string& dir = temp_dir.path();
   DocumentStore store(DurableOptions(dir));
   XCQ_ASSERT_OK(store.LoadXml("alpha", testing::BibExampleXml()));
   const uint64_t want = QueryTreeCount(&store, "alpha", "//paper/author");
@@ -553,7 +558,8 @@ TEST(DurabilityTest, ConcurrentRespillAndFaultInNeverLoseTheDocument) {
 }
 
 TEST(DurabilityTest, EvictDemotesToWarmAndFaultsBack) {
-  const std::string dir = FreshDataDir("demote");
+  const testing::ScopedTempDir temp_dir("xcq_dur_demote");
+  const std::string& dir = temp_dir.path();
   DocumentStore store(DurableOptions(dir));
   XCQ_ASSERT_OK(store.LoadXml("alpha", testing::BibExampleXml()));
   const uint64_t want = QueryTreeCount(&store, "alpha", "//paper/author");
@@ -574,7 +580,8 @@ TEST(DurabilityTest, EvictDemotesToWarmAndFaultsBack) {
 }
 
 TEST(DurabilityTest, ForgetRemovesResidencySpillAndManifest) {
-  const std::string dir = FreshDataDir("forget");
+  const testing::ScopedTempDir temp_dir("xcq_dur_forget");
+  const std::string& dir = temp_dir.path();
   {
     DocumentStore store(DurableOptions(dir));
     SeedCorpus(&store);
@@ -592,7 +599,8 @@ TEST(DurabilityTest, ForgetRemovesResidencySpillAndManifest) {
 }
 
 TEST(DurabilityTest, PersistRequiresCompiledInstanceThenWrites) {
-  const std::string dir = FreshDataDir("persist");
+  const testing::ScopedTempDir temp_dir("xcq_dur_persist");
+  const std::string& dir = temp_dir.path();
   DocumentStore store(DurableOptions(dir));
   XCQ_ASSERT_OK(store.LoadXml("alpha", testing::BibExampleXml()));
   // No query yet — an XML document compiles its instance lazily, so
@@ -612,7 +620,8 @@ TEST(DurabilityTest, PersistRequiresCompiledInstanceThenWrites) {
 }
 
 TEST(DurabilityTest, CapacityEvictionDemotesInsteadOfDiscarding) {
-  const std::string dir = FreshDataDir("capacity");
+  const testing::ScopedTempDir temp_dir("xcq_dur_capacity");
+  const std::string& dir = temp_dir.path();
   StoreOptions options = DurableOptions(dir);
   DocumentStore store(options);
   XCQ_ASSERT_OK(store.LoadInstance("first", CompressedBib()));
@@ -622,7 +631,8 @@ TEST(DurabilityTest, CapacityEvictionDemotesInsteadOfDiscarding) {
   ASSERT_GT(one, 0u);
   const uint64_t want =
       QueryTreeCount(&store, "first", "//book[author[\"Vianu\"]]");
-  StoreOptions tight = DurableOptions(FreshDataDir("capacity2"));
+  const testing::ScopedTempDir tight_dir("xcq_dur_capacity2");
+  StoreOptions tight = DurableOptions(tight_dir.path());
   tight.capacity_bytes = one + one / 2;
   DocumentStore small(tight);
   XCQ_ASSERT_OK(small.LoadInstance("first", CompressedBib()));
@@ -636,7 +646,8 @@ TEST(DurabilityTest, CapacityEvictionDemotesInsteadOfDiscarding) {
 }
 
 TEST(DurabilityTest, WarmStartOffStartsColdButKeepsSpills) {
-  const std::string dir = FreshDataDir("coldstart");
+  const testing::ScopedTempDir temp_dir("xcq_dur_coldstart");
+  const std::string& dir = temp_dir.path();
   auto expected = [&] {
     DocumentStore store(DurableOptions(dir));
     return SeedCorpus(&store);
@@ -689,7 +700,8 @@ TEST(DurabilityTest, UnusableDataDirDegradesToMemoryOnly) {
 TEST(DurabilityTest, SpillRefreshTracksLabelGrowth) {
   // Labels merged by later queries must reach the spill so a restart
   // can answer those queries parse-free.
-  const std::string dir = FreshDataDir("labelgrow");
+  const testing::ScopedTempDir temp_dir("xcq_dur_labelgrow");
+  const std::string& dir = temp_dir.path();
   uint64_t want_title = 0;
   {
     DocumentStore store(DurableOptions(dir));

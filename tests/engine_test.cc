@@ -329,6 +329,7 @@ TEST(PruneBindTimingTest, ColdBindIsChargedAndInSyncGatesAddNothing) {
   engine::EvalStats cold;
   XCQ_ASSERT_OK(engine::Evaluate(&instance, plan, options, &cold).status());
   EXPECT_GT(cold.summary_builds, 0u);
+  EXPECT_EQ(cold.prune_binds, 1u);
   EXPECT_GT(cold.prune_bind_seconds, 0.25 * cold.seconds);
   EXPECT_LE(cold.prune_bind_seconds, cold.seconds);
 
@@ -343,8 +344,19 @@ TEST(PruneBindTimingTest, ColdBindIsChargedAndInSyncGatesAddNothing) {
   EXPECT_EQ(warm.splits, 0u);
   EXPECT_EQ(warm.summary_builds, 0u);
 
+  // A split-free run left every gate of the plan in the instance's gate
+  // memo, so the next run binds nothing at all.
+  engine::EvalStats memoized;
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, options, &memoized).status());
+  EXPECT_EQ(memoized.prune_binds, 0u);
+  EXPECT_EQ(memoized.prune_bind_seconds, 0.0);
+  EXPECT_EQ(memoized.summary_nodes, cold.summary_nodes);
+
   // A pruner charges only its (re)binds: once bound, further gates on
-  // an unchanged instance add nothing.
+  // an unchanged instance add nothing. Clearing the memo makes the
+  // next pruner bind.
+  instance.gate_memo().Clear();
   size_t axis_op = plan.ops.size();
   for (size_t i = 0; i < plan.ops.size(); ++i) {
     if (plan.ops[i].kind == algebra::OpKind::kAxis &&
@@ -362,6 +374,7 @@ TEST(PruneBindTimingTest, ColdBindIsChargedAndInSyncGatesAddNothing) {
   pruner.AxisGate(axis_op);
   pruner.AxisGate(axis_op);
   EXPECT_EQ(bind_seconds, after_bind);
+  EXPECT_EQ(pruner.binds(), 1u);
 }
 
 }  // namespace

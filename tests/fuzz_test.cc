@@ -187,54 +187,67 @@ void RunPrunedDifferential(const std::string& xml, const std::string& query,
   popts.prune_sweeps = true;
   engine::EvalOptions fopts = popts;
   fopts.prune_sweeps = false;
-  engine::EvalStats pstats;
-  engine::EvalStats fstats;
-  const auto presult = engine::Evaluate(&pruned, *plan, popts, &pstats);
-  const auto fresult = engine::Evaluate(&full, *plan, fopts, &fstats);
-  ASSERT_EQ(presult.ok(), fresult.ok()) << query;
-  if (!presult.ok()) return;
+  // Each plan runs twice on the same instances: a split-free first pass
+  // leaves its gates in the instance's gate memo, so the second pass
+  // faces the oracle with memoized gates.
+  bool split_free = true;  // no pass so far split: vertex ids line up
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    engine::EvalStats pstats;
+    engine::EvalStats fstats;
+    const auto presult = engine::Evaluate(&pruned, *plan, popts, &pstats);
+    const auto fresult = engine::Evaluate(&full, *plan, fopts, &fstats);
+    ASSERT_EQ(presult.ok(), fresult.ok()) << query;
+    if (!presult.ok()) return;
 
-  // Exact answer comparison at the tree level (both expansions are in
-  // document order, so node ids line up). Raw DAG columns are compared
-  // only for split-free runs: splits leave the kernels free to swap
-  // which variant keeps the original id (isomorphic DAGs).
-  DecompressOptions dopts;
-  const auto ptree = Decompress(pruned, dopts);
-  const auto ftree = Decompress(full, dopts);
-  ASSERT_TRUE(ptree.ok()) << query;
-  ASSERT_TRUE(ftree.ok()) << query;
-  const bool diverged =
-      pstats.splits != fstats.splits ||
-      pstats.vertices_after != fstats.vertices_after ||
-      pstats.edges_after != fstats.edges_after ||
-      SelectedTreeNodeCount(pruned, *presult) !=
-          SelectedTreeNodeCount(full, *fresult) ||
-      ptree->RelationSet(pruned.schema().Name(*presult)) !=
-          ftree->RelationSet(full.schema().Name(*fresult)) ||
-      (pstats.splits == 0 &&
-       pruned.RelationBits(*presult) != full.RelationBits(*fresult));
-  if (!diverged) return;
+    // Exact answer comparison at the tree level (both expansions are in
+    // document order, so node ids line up). Raw DAG columns are compared
+    // only while every pass so far was split-free: splits leave the
+    // kernels free to swap which variant keeps the original id
+    // (isomorphic DAGs).
+    split_free = split_free && pstats.splits == 0;
+    DecompressOptions dopts;
+    const auto ptree = Decompress(pruned, dopts);
+    const auto ftree = Decompress(full, dopts);
+    ASSERT_TRUE(ptree.ok()) << query;
+    ASSERT_TRUE(ftree.ok()) << query;
+    const bool diverged =
+        pstats.splits != fstats.splits ||
+        pstats.vertices_after != fstats.vertices_after ||
+        pstats.edges_after != fstats.edges_after ||
+        SelectedTreeNodeCount(pruned, *presult) !=
+            SelectedTreeNodeCount(full, *fresult) ||
+        ptree->RelationSet(pruned.schema().Name(*presult)) !=
+            ftree->RelationSet(full.schema().Name(*fresult)) ||
+        (split_free &&
+         pruned.RelationBits(*presult) != full.RelationBits(*fresult));
+    if (!diverged) continue;
 
-  // Dump everything needed to replay the case by hand.
-  const std::string path = ::testing::TempDir() + "xcq_pruned_divergence_" +
-                           std::to_string(seed) + ".txt";
-  std::ofstream dump(path);
-  dump << "seed: " << seed << "\n"
-       << "query: " << query << "\n"
-       << "pruned: splits=" << pstats.splits
-       << " vertices=" << pstats.vertices_after
-       << " edges=" << pstats.edges_after
-       << " tree=" << SelectedTreeNodeCount(pruned, *presult) << "\n"
-       << "full:   splits=" << fstats.splits
-       << " vertices=" << fstats.vertices_after
-       << " edges=" << fstats.edges_after
-       << " tree=" << SelectedTreeNodeCount(full, *fresult) << "\n"
-       << "document:\n"
-       << xml << "\n";
-  dump.close();
-  ADD_FAILURE() << "pruned evaluation diverged from the full-sweep "
-                   "oracle; repro (document, query, seed) dumped to "
-                << path;
+    // Dump everything needed to replay the case by hand.
+    const std::string path = ::testing::TempDir() +
+                             "xcq_pruned_divergence_" +
+                             std::to_string(seed) + ".txt";
+    std::ofstream dump(path);
+    dump << "seed: " << seed << "\n"
+         << "query: " << query << "\n"
+         << "pass: " << pass << "\n"
+         << "pruned: splits=" << pstats.splits
+         << " vertices=" << pstats.vertices_after
+         << " edges=" << pstats.edges_after
+         << " tree=" << SelectedTreeNodeCount(pruned, *presult) << "\n"
+         << "full:   splits=" << fstats.splits
+         << " vertices=" << fstats.vertices_after
+         << " edges=" << fstats.edges_after
+         << " tree=" << SelectedTreeNodeCount(full, *fresult) << "\n"
+         << "document:\n"
+         << xml << "\n";
+    dump.close();
+    ADD_FAILURE() << "pruned evaluation diverged from the full-sweep "
+                     "oracle; repro (document, query, seed, pass) dumped "
+                     "to "
+                  << path;
+    return;
+  }
 }
 
 TEST_P(PrunedDifferentialFuzzTest, PrunedMatchesFullOnMutatedCorpora) {

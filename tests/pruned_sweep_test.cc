@@ -364,5 +364,417 @@ TEST(PrunedSweepStatsTest, RecursiveDescentVisitsLessThanFullSweep) {
   EXPECT_LT(outcome.stats.sweep_visited, outcome.stats.sweep_full);
 }
 
+// --- Gate memo (docs/INTERNALS.md §9.6) -------------------------------------
+
+void ExpectSameFamilyCounters(const engine::EvalStats& a,
+                              const engine::EvalStats& b) {
+  for (size_t f = 0; f < engine::kAxisFamilyCount; ++f) {
+    SCOPED_TRACE(engine::AxisFamilyName(static_cast<engine::AxisFamily>(f)));
+    EXPECT_EQ(a.axis[f].visited, b.axis[f].visited);
+    EXPECT_EQ(a.axis[f].pruned, b.axis[f].pruned);
+    EXPECT_EQ(a.axis[f].skipped, b.axis[f].skipped);
+  }
+}
+
+/// Index of the first kAxis op of `plan` on `axis` (ops.size() if none).
+size_t AxisOpIndex(const algebra::QueryPlan& plan, xpath::Axis axis) {
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    if (plan.ops[i].kind == algebra::OpKind::kAxis &&
+        plan.ops[i].axis == axis) {
+      return i;
+    }
+  }
+  return plan.ops.size();
+}
+
+/// Warms `instance` with each query until it stops splitting, then
+/// evaluates it twice more — the first run binds and fills the memo,
+/// the second is served from it — next to a full-sweep run on a copy.
+void ExpectMemoizedRunMatchesFirstRunAndFullSweep(
+    Instance instance, const std::vector<std::string>& queries) {
+  for (const std::string& query : queries) {
+    SCOPED_TRACE(query);
+    XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                             algebra::CompileString(query));
+    const engine::EvalOptions pruned_options;
+    engine::EvalOptions full_options;
+    full_options.prune_sweeps = false;
+    for (int round = 0; round < 8; ++round) {
+      engine::EvalStats warmup;
+      XCQ_ASSERT_OK(
+          engine::Evaluate(&instance, plan, pruned_options, &warmup)
+              .status());
+      if (warmup.splits == 0) break;
+    }
+    instance.gate_memo().Clear();
+    Instance oracle = instance;
+
+    engine::EvalStats first;
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        const RelationId first_result,
+        engine::Evaluate(&instance, plan, pruned_options, &first));
+    const DynamicBitset first_bits = instance.RelationBits(first_result);
+    engine::EvalStats second;
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        const RelationId second_result,
+        engine::Evaluate(&instance, plan, pruned_options, &second));
+    engine::EvalStats full;
+    XCQ_ASSERT_OK_AND_ASSIGN(
+        const RelationId full_result,
+        engine::Evaluate(&oracle, plan, full_options, &full));
+
+    ASSERT_EQ(first.splits, 0u) << "warm-up did not reach the fixpoint";
+    EXPECT_EQ(first.prune_binds, 1u);
+    EXPECT_EQ(second.prune_binds, 0u);
+    EXPECT_EQ(second.prune_bind_seconds, 0.0);
+    EXPECT_EQ(second.summary_builds, 0u);
+    EXPECT_EQ(second.summary_nodes, first.summary_nodes);
+
+    EXPECT_EQ(second.splits, first.splits);
+    EXPECT_EQ(full.splits, first.splits);
+    EXPECT_EQ(instance.RelationBits(second_result), first_bits);
+    EXPECT_EQ(oracle.RelationBits(full_result), first_bits);
+    for (const engine::EvalStats* other : {&second, &full}) {
+      EXPECT_EQ(other->vertices_after, first.vertices_after);
+      EXPECT_EQ(other->edges_after, first.edges_after);
+    }
+    EXPECT_EQ(second.sweep_visited, first.sweep_visited);
+    EXPECT_EQ(second.pruned_sweeps, first.pruned_sweeps);
+    EXPECT_EQ(second.skipped_sweeps, first.skipped_sweeps);
+    ExpectSameFamilyCounters(first, second);
+  }
+}
+
+TEST(GateMemoTest, MemoizedRunMatchesFirstRunAndFullSweepOnTreeBank) {
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 3000;
+  gen.seed = 42;
+  ExpectMemoizedRunMatchesFirstRunAndFullSweep(
+      CompressAllTags(corpus::TreeBank().Generate(gen)),
+      {"//S//S[descendant::NNS]", "/alltreebank/FILE/EMPTY/S/VP/NP",
+       "//NP/ancestor::S", "//VP/following-sibling::NP",
+       "//PP/following::NN"});
+}
+
+TEST(GateMemoTest, MemoizedRunMatchesFirstRunAndFullSweepOnShakespeare) {
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 3000;
+  gen.seed = 42;
+  ExpectMemoizedRunMatchesFirstRunAndFullSweep(
+      CompressAllTags(corpus::Shakespeare().Generate(gen)),
+      {"//SPEECH/SPEAKER", "//LINE/ancestor::SCENE",
+       "//SPEECH/following-sibling::SPEECH/SPEAKER",
+       "//SPEAKER/preceding::TITLE"});
+}
+
+TEST(GateMemoTest, NewLabelInvalidatesTheMemo) {
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 2000;
+  gen.seed = 7;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      QuerySession session,
+      QuerySession::Open(corpus::Shakespeare().Generate(gen),
+                         PruningOptions(true, false)));
+  // Run to the split fixpoint; the split-free run fills the memo.
+  QueryOutcome settled;
+  for (int round = 0; round < 6; ++round) {
+    XCQ_ASSERT_OK_AND_ASSIGN(settled, session.Run("//SPEECH/SPEAKER"));
+    if (settled.stats.splits == 0) break;
+  }
+  ASSERT_EQ(settled.stats.splits, 0u);
+  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome warm,
+                           session.Run("//SPEECH/SPEAKER"));
+  EXPECT_EQ(warm.stats.prune_binds, 0u);
+  EXPECT_FALSE(session.instance().gate_memo().entries.empty());
+
+  // A query needing a tag the instance does not carry yet merges a new
+  // label relation: the summary and every memoized gate are stale.
+  XCQ_ASSERT_OK(session.Run("//LINE/parent::SPEECH").status());
+  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome after,
+                           session.Run("//SPEECH/SPEAKER"));
+  EXPECT_EQ(after.stats.prune_binds, 1u);
+  EXPECT_EQ(after.selected_tree_nodes, warm.selected_tree_nodes);
+
+  // The label fingerprint alone invalidates too: a new relation on an
+  // unchanged structure.
+  Instance instance = CompressAllTags(testing::BibExampleXml());
+  XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                           algebra::CompileString("/bib/book"));
+  engine::EvalStats first;
+  engine::EvalStats second;
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, engine::EvalOptions{}, &first)
+          .status());
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, engine::EvalOptions{}, &second)
+          .status());
+  EXPECT_EQ(first.prune_binds, 1u);
+  EXPECT_EQ(second.prune_binds, 0u);
+  ASSERT_EQ(instance.gate_memo().entries.size(), 1u);
+  const size_t gates = instance.gate_memo().entries[0].gates.size();
+  const uint64_t generation = instance.structure_generation();
+  instance.AddRelation("brand-new-tag");
+  ASSERT_EQ(instance.structure_generation(), generation);
+  engine::EvalStats third;
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, engine::EvalOptions{}, &third)
+          .status());
+  EXPECT_EQ(third.prune_binds, 1u);
+  EXPECT_EQ(third.summary_builds, 1u);
+  EXPECT_EQ(third.sweep_visited, first.sweep_visited);
+  // The rebuild emptied the memo: the plan's entry was stored afresh.
+  ASSERT_EQ(instance.gate_memo().entries.size(), 1u);
+  EXPECT_EQ(instance.gate_memo().entries[0].gates.size(), gates);
+}
+
+TEST(GateMemoTest, SplittingPlanStoresNoGateAfterTheSplit) {
+  Instance instance = CompressAllTags(
+      "<r><a><b/><b/><b/></a><a><b/><b/><b/></a><a><c/><b/></a></r>");
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const algebra::QueryPlan plan,
+      algebra::CompileString("//b/following-sibling::b/parent::a"));
+  const size_t sibling_op =
+      AxisOpIndex(plan, xpath::Axis::kFollowingSibling);
+  const size_t parent_op = AxisOpIndex(plan, xpath::Axis::kParent);
+  ASSERT_LT(sibling_op, parent_op);
+  ASSERT_LT(parent_op, plan.ops.size());
+
+  engine::EvalStats stats;
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, engine::EvalOptions{}, &stats)
+          .status());
+  ASSERT_GT(stats.splits, 0u);
+  EXPECT_EQ(stats.prune_binds, 1u);
+
+  // The sibling gate was computed on the current summary and stored;
+  // the parent gate came after the sibling sweep split and was not.
+  const GateMemo::Entry* entry = instance.gate_memo().entries.empty()
+                                     ? nullptr
+                                     : &instance.gate_memo().entries[0];
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(instance.gate_memo().entries.size(), 1u);
+  EXPECT_EQ(entry->ops, plan.ops);
+  ASSERT_EQ(entry->gates.size(), 1u);
+  EXPECT_EQ(entry->gates[0].slot, sibling_op * GateMemo::kSlotsPerOp);
+  EXPECT_EQ(entry->FindGate(static_cast<uint32_t>(
+                parent_op * GateMemo::kSlotsPerOp)),
+            nullptr);
+
+  // The split made the summary stale: the next run rebuilds and binds.
+  engine::EvalStats again;
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, engine::EvalOptions{}, &again)
+          .status());
+  EXPECT_EQ(again.summary_builds, 1u);
+  EXPECT_EQ(again.prune_binds, 1u);
+}
+
+TEST(GateMemoTest, HitAfterMidPlanSplitMatchesTheStaleRide) {
+  // A reserved context column changes without a structure or label
+  // change, so one plan can run split-free (storing every gate) and
+  // then split at its first sweep on the same summary: the gates after
+  // the split are memo hits, and must restrict the kernels exactly as
+  // a pruner riding its stale binding would.
+  Instance instance = CompressAllTags(
+      "<r><a><b/><b/><b/></a><a><b/><b/><b/></a><a><c/><b/></a></r>");
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const algebra::QueryPlan plan,
+      algebra::CompileString("following-sibling::b/parent::a"));
+  ASSERT_LT(AxisOpIndex(plan, xpath::Axis::kParent), plan.ops.size());
+  engine::EvalOptions options;
+  options.context_relation = "xcq:ctx";
+  const RelationId ctx = instance.AddRelation(options.context_relation);
+  instance.SetBit(ctx, instance.root());
+
+  engine::EvalStats quiet;
+  XCQ_ASSERT_OK(engine::Evaluate(&instance, plan, options, &quiet).status());
+  ASSERT_EQ(quiet.splits, 0u);
+  ASSERT_TRUE(instance.path_summary_valid());
+
+  // Context = every b occurrence: the sibling sweep now splits.
+  const RelationId b = instance.FindRelation("b");
+  ASSERT_NE(b, kNoRelation);
+  instance.MutableRelationBits(ctx) = instance.RelationBits(b);
+  Instance stale = instance;
+  stale.gate_memo().Clear();
+  Instance oracle = instance;
+  engine::EvalOptions full_options = options;
+  full_options.prune_sweeps = false;
+
+  engine::EvalStats memo_stats;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId memo_result,
+      engine::Evaluate(&instance, plan, options, &memo_stats));
+  engine::EvalStats stale_stats;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId stale_result,
+      engine::Evaluate(&stale, plan, options, &stale_stats));
+  engine::EvalStats full_stats;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId full_result,
+      engine::Evaluate(&oracle, plan, full_options, &full_stats));
+
+  ASSERT_GT(memo_stats.splits, 0u);
+  EXPECT_EQ(memo_stats.prune_binds, 0u);
+  EXPECT_EQ(stale_stats.prune_binds, 1u);
+  EXPECT_EQ(memo_stats.splits, stale_stats.splits);
+  EXPECT_EQ(memo_stats.splits, full_stats.splits);
+  EXPECT_EQ(memo_stats.vertices_after, full_stats.vertices_after);
+  EXPECT_EQ(memo_stats.edges_after, full_stats.edges_after);
+  // Same kernels over the same regions: identical down to vertex ids.
+  EXPECT_EQ(instance.RelationBits(memo_result),
+            stale.RelationBits(stale_result));
+  EXPECT_EQ(memo_stats.sweep_visited, stale_stats.sweep_visited);
+  ExpectSameFamilyCounters(memo_stats, stale_stats);
+  EXPECT_EQ(SelectedTreeNodeCount(instance, memo_result),
+            SelectedTreeNodeCount(oracle, full_result));
+  XCQ_ASSERT_OK(instance.Validate());
+}
+
+TEST(GateMemoTest, MissAfterMidPlanSplitBindsTheMemosSummary) {
+  // A run cut short by its work budget stores the gate of the sweep it
+  // died in and none after it. The next run hits that gate, splits, and
+  // misses the parent gate: the pruner must bind to the summary the
+  // memo belongs to, as a pruner bound at its first gate would ride it,
+  // not rebuild the summary mid-plan.
+  Instance instance = CompressAllTags(
+      "<r><a><b/><b/><b/></a><a><b/><b/><b/></a><a><c/><b/></a></r>");
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const algebra::QueryPlan plan,
+      algebra::CompileString("following-sibling::b/parent::a"));
+  engine::EvalOptions options;
+  options.context_relation = "xcq:ctx";
+  const RelationId ctx = instance.AddRelation(options.context_relation);
+  instance.MutableRelationBits(ctx) =
+      instance.RelationBits(instance.FindRelation("b"));
+  (void)instance.EnsurePathSummary();
+
+  engine::EvalOptions starved = options;
+  starved.max_sweep_visits = 1;
+  const uint64_t generation = instance.structure_generation();
+  EXPECT_EQ(engine::Evaluate(&instance, plan, starved).status().code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_EQ(instance.structure_generation(), generation);
+  ASSERT_EQ(instance.gate_memo().entries.size(), 1u);
+  ASSERT_EQ(instance.gate_memo().entries[0].gates.size(), 1u);
+
+  Instance stale = instance;
+  stale.gate_memo().Clear();
+  Instance oracle = instance;
+  engine::EvalOptions full_options = options;
+  full_options.prune_sweeps = false;
+
+  engine::EvalStats memo_stats;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId memo_result,
+      engine::Evaluate(&instance, plan, options, &memo_stats));
+  engine::EvalStats stale_stats;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId stale_result,
+      engine::Evaluate(&stale, plan, options, &stale_stats));
+  engine::EvalStats full_stats;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId full_result,
+      engine::Evaluate(&oracle, plan, full_options, &full_stats));
+
+  ASSERT_GT(memo_stats.splits, 0u);
+  EXPECT_EQ(memo_stats.prune_binds, 1u);
+  EXPECT_EQ(memo_stats.summary_builds, 0u);
+  EXPECT_EQ(memo_stats.splits, full_stats.splits);
+  EXPECT_EQ(instance.RelationBits(memo_result),
+            stale.RelationBits(stale_result));
+  ExpectSameFamilyCounters(memo_stats, stale_stats);
+  EXPECT_EQ(SelectedTreeNodeCount(instance, memo_result),
+            SelectedTreeNodeCount(oracle, full_result));
+  XCQ_ASSERT_OK(instance.Validate());
+}
+
+TEST(GateMemoTest, ReservedRelationGatesDoNotDependOnItsPresence) {
+  // `xcq:` columns come and go without a structure or label change, so
+  // a gate stored while one was absent is served after it appears: the
+  // abstraction must admit them whole either way.
+  Instance instance = CompressAllTags(testing::BibExampleXml());
+  algebra::QueryPlan plan;
+  algebra::Op selection;
+  selection.kind = algebra::OpKind::kRelation;
+  selection.relation = "xcq:selection";
+  algebra::Op parent;
+  parent.kind = algebra::OpKind::kAxis;
+  parent.axis = xpath::Axis::kParent;
+  parent.input0 = 0;
+  plan.ops = {selection, parent};
+
+  engine::EvalStats absent;
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, engine::EvalOptions{}, &absent)
+          .status());
+  EXPECT_EQ(absent.prune_binds, 1u);
+
+  const RelationId column = instance.AddRelation("xcq:selection");
+  instance.MutableRelationBits(column) =
+      instance.RelationBits(instance.FindRelation("author"));
+  Instance oracle = instance;
+  engine::EvalOptions full_options;
+  full_options.prune_sweeps = false;
+  engine::EvalStats present;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId result,
+      engine::Evaluate(&instance, plan, engine::EvalOptions{}, &present));
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId full_result,
+      engine::Evaluate(&oracle, plan, full_options, nullptr));
+  EXPECT_EQ(present.prune_binds, 0u);
+  EXPECT_EQ(instance.RelationBits(result), oracle.RelationBits(full_result));
+  EXPECT_GT(SelectedTreeNodeCount(instance, result), 0u);
+}
+
+TEST(GateMemoTest, ContextRelationIsPartOfTheKey) {
+  // `b` relative to {root} selects nothing here; relative to the `a`
+  // vertices it selects every b. Sharing the {root} entry's gates with
+  // the named context would prune the b vertices away.
+  Instance instance = CompressAllTags(
+      "<r><a><b/><b/></a><a><c/><b/></a></r>");
+  XCQ_ASSERT_OK_AND_ASSIGN(const algebra::QueryPlan plan,
+                           algebra::CompileString("b"));
+  const engine::EvalOptions root_context;
+  engine::EvalOptions named_context;
+  named_context.context_relation = "xcq:ctx";
+  const RelationId ctx =
+      instance.AddRelation(named_context.context_relation);
+  instance.MutableRelationBits(ctx) =
+      instance.RelationBits(instance.FindRelation("a"));
+  Instance oracle = instance;
+  engine::EvalOptions oracle_options = named_context;
+  oracle_options.prune_sweeps = false;
+
+  engine::EvalStats first;
+  engine::EvalStats second;
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, root_context, &first).status());
+  XCQ_ASSERT_OK(
+      engine::Evaluate(&instance, plan, root_context, &second).status());
+  EXPECT_EQ(first.prune_binds, 1u);
+  EXPECT_EQ(second.prune_binds, 0u);
+
+  engine::EvalStats named;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId named_result,
+      engine::Evaluate(&instance, plan, named_context, &named));
+  EXPECT_EQ(named.prune_binds, 1u) << "shared the {root} context's entry";
+  ASSERT_EQ(instance.gate_memo().entries.size(), 2u);
+  EXPECT_EQ(instance.gate_memo().entries[0].ops,
+            instance.gate_memo().entries[1].ops);
+  EXPECT_NE(instance.gate_memo().entries[0].context_relation,
+            instance.gate_memo().entries[1].context_relation);
+
+  engine::EvalStats full;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      const RelationId full_result,
+      engine::Evaluate(&oracle, plan, oracle_options, &full));
+  EXPECT_EQ(SelectedTreeNodeCount(instance, named_result),
+            SelectedTreeNodeCount(oracle, full_result));
+  EXPECT_EQ(SelectedTreeNodeCount(instance, named_result), 3u);
+}
+
 }  // namespace
 }  // namespace xcq

@@ -627,8 +627,8 @@ TEST(TcpServerTest, StopUnblocksIdleClient) {
 TEST(TcpServerTest, RestartOnSameDataDirServesWithoutReload) {
   const std::string xml_path = ::testing::TempDir() + "/durable_bib.xml";
   XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, testing::BibExampleXml()));
-  std::string data_dir = ::testing::TempDir() + "/xcq_tcp_durable_XXXXXX";
-  ASSERT_NE(::mkdtemp(data_dir.data()), nullptr);
+  const testing::ScopedTempDir temp_dir("xcq_tcp_durable");
+  const std::string& data_dir = temp_dir.path();
 
   std::string want;
   {
@@ -894,8 +894,8 @@ TEST(ProtocolTest, StatsCountersAreTheirMetricSeries) {
   // fault-in, and a re-LOAD.
   const std::string xml_path = ::testing::TempDir() + "/ledger_bib.xml";
   XCQ_ASSERT_OK(xml::WriteStringToFile(xml_path, testing::BibExampleXml()));
-  std::string data_dir = ::testing::TempDir() + "/xcq_ledger_XXXXXX";
-  ASSERT_NE(::mkdtemp(data_dir.data()), nullptr);
+  const testing::ScopedTempDir temp_dir("xcq_ledger");
+  const std::string& data_dir = temp_dir.path();
   StoreOptions store_options;
   store_options.data_dir = data_dir;
   DocumentStore store(store_options);

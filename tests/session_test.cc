@@ -232,5 +232,39 @@ TEST(QuerySessionTest, SessionOnCorpusEndToEnd) {
   XCQ_ASSERT_OK(session.instance().Validate());
 }
 
+TEST(QuerySessionTest, PruneBindSpanNestsInsideSweep) {
+  // The engine times the pruner's bind inside Evaluate; its span must
+  // nest under `sweep` (depth 1, inside the sweep interval), so the
+  // top-level spans never add up to more than the query took.
+  corpus::GenerateOptions gen;
+  gen.target_nodes = 3000;
+  gen.seed = 5;
+  XCQ_ASSERT_OK_AND_ASSIGN(
+      QuerySession session,
+      QuerySession::Open(corpus::TreeBank().Generate(gen)));
+  XCQ_ASSERT_OK_AND_ASSIGN(const QueryOutcome outcome,
+                           session.Run("//S/NP"));
+  const double total = outcome.trace.Elapsed();
+  ASSERT_EQ(outcome.stats.prune_binds, 1u);
+
+  const obs::TraceSpan* sweep = nullptr;
+  const obs::TraceSpan* bind = nullptr;
+  double top_level = 0.0;
+  for (size_t i = 0; i < outcome.trace.span_count(); ++i) {
+    const obs::TraceSpan& span = outcome.trace.span(i);
+    if (span.phase == obs::Phase::kSweep) sweep = &span;
+    if (span.phase == obs::Phase::kPruneBind) bind = &span;
+    if (span.depth == 0) top_level += span.duration_seconds;
+  }
+  ASSERT_NE(sweep, nullptr);
+  ASSERT_NE(bind, nullptr);
+  EXPECT_EQ(sweep->depth, 0u);
+  EXPECT_EQ(bind->depth, 1u);
+  EXPECT_GE(bind->start_seconds, sweep->start_seconds);
+  EXPECT_LE(bind->start_seconds + bind->duration_seconds,
+            sweep->start_seconds + sweep->duration_seconds + 1e-9);
+  EXPECT_LE(top_level, total);
+}
+
 }  // namespace
 }  // namespace xcq

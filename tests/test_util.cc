@@ -1,6 +1,9 @@
 #include "test_util.h"
 
+#include <stdlib.h>
+
 #include <condition_variable>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -69,6 +72,18 @@ DifferentialResult RunDifferential(const std::string& xml,
   EXPECT_EQ(dag_set, *baseline_set)
       << "selected-set mismatch for query " << query_text;
   return out;
+}
+
+ScopedTempDir::ScopedTempDir(const std::string& prefix)
+    : path_(::testing::TempDir() + "/" + prefix + "_XXXXXX") {
+  if (::mkdtemp(path_.data()) == nullptr) {
+    ADD_FAILURE() << "mkdtemp failed for " << path_;
+  }
+}
+
+ScopedTempDir::~ScopedTempDir() {
+  std::error_code ignored;
+  std::filesystem::remove_all(path_, ignored);
 }
 
 std::string BibExampleXml() {

@@ -52,6 +52,23 @@ struct DifferentialResult {
 DifferentialResult RunDifferential(const std::string& xml,
                                    const std::string& query_text);
 
+/// A fresh directory under the gtest temp root (`<prefix>_XXXXXX`),
+/// removed with everything in it when the object goes out of scope —
+/// declare it before anything that writes into it.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& prefix);
+  ~ScopedTempDir();
+
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 /// Builds the paper's Example 1.1 bibliography document.
 std::string BibExampleXml();
 
